@@ -25,11 +25,10 @@ from .estimation import (
     estimate_rate,
     wrap_pi,
 )
-from .harness import RunManifest, run_experiment
+from .harness import RunManifest, compare_equivalence, run_experiment
 from .protocols import (
     Protocol,
     TrialResult,
-    compare_equivalence,
     run_esct,
     run_qcs_basic,
     run_qcs_beat,
@@ -37,8 +36,6 @@ from .protocols import (
     run_trials,
 )
 from .quantum import (
-    NEG,
-    POS,
     BasisPhase,
     CollapseOutcome,
     EquatorialState,
@@ -47,9 +44,7 @@ from .quantum import (
     collapse_singlet,
     evolve,
     imprint_phase,
-    prob_neg,
     prob_pos,
-    ramsey_prob,
 )
 from .rng import RNG_ALGORITHM, trial_stream
 from .transport import TransportModel, apply_transport, transport_phase
@@ -69,8 +64,6 @@ __all__ = [
     "Frequency",
     "InsufficientSamplesError",
     "MeasurementRecord",
-    "NEG",
-    "POS",
     "PhaseEstimate",
     "Protocol",
     "QcsSimError",
@@ -91,9 +84,7 @@ __all__ = [
     "evolve",
     "imprint_phase",
     "load_config",
-    "prob_neg",
     "prob_pos",
-    "ramsey_prob",
     "read",
     "run_esct",
     "run_experiment",

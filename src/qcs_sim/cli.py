@@ -17,7 +17,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError
-from .harness import SUBCOMMANDS, run_experiment
+from .harness import SUBCOMMANDS, SWEEP_PROTOCOLS, run_experiment
 
 
 def _parse_values(text: str) -> list[float]:
@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sweep-values", default=None, help="comma-separated grid values")
         if name == "sweep":
             p.add_argument(
-                "--protocol", default=None,
-                choices=("qcs", "beat", "syntonize", "esct", "compare"),
+                "--protocol", default=None, choices=SWEEP_PROTOCOLS,
                 help="protocol to run at each grid point",
             )
     return parser

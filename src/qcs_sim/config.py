@@ -164,17 +164,17 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from None
         return cls(
             species=species,
-            ensemble_size=int(data.get("ensemble_size", 100_000)),
+            ensemble_size=_int(data.get("ensemble_size", 100_000), "ensemble_size"),
             clock_a=clock_a,
             clock_b=clock_b,
             transport=transport,
             trip=trip,
             epochs=epochs,
-            seed=int(data.get("seed", 0)),
-            trials=int(data.get("trials", 100)),
-            use_type_i=bool(data.get("use_type_i", False)),
-            shuffle_type_list=bool(data.get("shuffle_type_list", False)),
-            noiseless=bool(data.get("noiseless", False)),
+            seed=_int(data.get("seed", 0), "seed"),
+            trials=_int(data.get("trials", 100), "trials"),
+            use_type_i=_bool(data.get("use_type_i", False), "use_type_i"),
+            shuffle_type_list=_bool(data.get("shuffle_type_list", False), "shuffle_type_list"),
+            noiseless=_bool(data.get("noiseless", False), "noiseless"),
         )
 
 
@@ -191,6 +191,21 @@ def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _int(value, where) -> int:
+    """An integer, or an integral float such as 1e6."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _bool(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
 
 
 def _check_keys(section, allowed, where):

@@ -1,4 +1,4 @@
-"""Experiment execution: dispatch, result tables, summaries, run manifests.
+"""Experiment execution: dispatch, compare pairing, result tables, summaries, manifests.
 
 Outputs per run directory:
 
@@ -26,27 +26,15 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .protocols import Protocol, compare_equivalence, run_trials
+from .protocols import LANE_BASELINE, LANE_PRIMARY, Protocol, require_count, run_trials
 from .rng import RNG_ALGORITHM
 
 ARTIFACT_VERSION = "0.1.0"
 
-SUBCOMMANDS = ("qcs", "beat", "syntonize", "esct", "compare", "sweep")
+#: What `sweep --protocol` accepts: every protocol, plus the compare pairing.
+SWEEP_PROTOCOLS = (*(p.value for p in Protocol), "compare")
 
-PROTOCOL_BY_NAME = {
-    "qcs": Protocol.QCS_BASIC,
-    "beat": Protocol.QCS_BEAT,
-    "syntonize": Protocol.QCS_SYNTONIZE,
-    "esct": Protocol.ESCT_BASELINE,
-}
-
-#: Error key each protocol is judged on.
-PRIMARY_ERROR_KEY = {
-    "qcs": "time_offset",
-    "beat": "time_offset",
-    "syntonize": "rate_offset",
-    "esct": "time_offset",
-}
+SUBCOMMANDS = (*SWEEP_PROTOCOLS, "sweep")
 
 _UNITS_COMMENT = (
     "# units: *_time_offset s, *_rate_offset dimensionless, theta*/sigma_theta/"
@@ -89,26 +77,87 @@ def write_results_csv(path, results):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _stats(values) -> dict:
+    """Mean, spread, RMS, range and 95% CI half-width of one key over the trials."""
+    n = len(values)
+    x = np.array(values)
+    std = float(np.std(x, ddof=1)) if n > 1 else 0.0
+    return {
+        "mean": float(np.mean(x)),
+        "std": std,
+        "rms": float(np.sqrt(np.mean(x**2))),
+        "min": float(np.min(x)),
+        "max": float(np.max(x)),
+        "ci95_halfwidth": 1.959963984540054 * std / math.sqrt(n) if n > 1 else 0.0,
+    }
+
+
 def summarize_trials(results) -> dict:
     """Aggregate per-error-key statistics plus mean diagnostics."""
     n = len(results)
-    metrics = {}
-    for key in _ordered_union(results, "error"):
-        errs = np.array([r.error[key] for r in results])
-        std = float(np.std(errs, ddof=1)) if n > 1 else 0.0
-        metrics[key] = {
-            "mean": float(np.mean(errs)),
-            "std": std,
-            "rms": float(np.sqrt(np.mean(errs**2))),
-            "min": float(np.min(errs)),
-            "max": float(np.max(errs)),
-            "ci95_halfwidth": 1.959963984540054 * std / math.sqrt(n) if n > 1 else 0.0,
-        }
+    metrics = {
+        key: _stats([r.error[key] for r in results])
+        for key in _ordered_union(results, "error")
+    }
     mean_diag = {
         key: float(np.mean([r.diagnostics[key] for r in results]))
         for key in _ordered_union(results, "diagnostics")
     }
     return {"trials": n, "metrics": metrics, "mean_diagnostics": mean_diag}
+
+
+#: Relative tolerance for the matched-models precondition of compare runs.
+MATCHED_MODEL_RTOL = 1e-9
+
+
+def _require_matched_models(cfg: ScenarioConfig):
+    ((_, freq),) = cfg.species.items()
+    implied_jitter = cfg.transport.sigma_common / freq.omega
+    alpha_gap = abs(cfg.trip.alpha - cfg.transport.alpha)
+    jitter_gap = abs(cfg.trip.jitter - implied_jitter)
+    alpha_tol = MATCHED_MODEL_RTOL * max(abs(cfg.trip.alpha), abs(cfg.transport.alpha))
+    jitter_tol = MATCHED_MODEL_RTOL * max(abs(cfg.trip.jitter), abs(implied_jitter))
+    if alpha_gap > alpha_tol or jitter_gap > jitter_tol:
+        raise ValueError(
+            "compare requires matched models: trip.alpha == transport.alpha "
+            "and trip.jitter == transport.sigma_common/omega; got "
+            f"trip=({cfg.trip.alpha}, {cfg.trip.jitter}) vs "
+            f"transport=({cfg.transport.alpha}, {implied_jitter})"
+        )
+
+
+def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None,
+                        keep_trials: bool = False) -> dict:
+    """Head-to-head RMS time error of the entangled protocol vs. the clock trip.
+
+    Requires matched models (trip.alpha = transport.alpha and trip.jitter =
+    sigma_common/omega): then the two protocols face the same disturbance and
+    the entangled one differs only by its binomial estimation floor, which is
+    reported separately.
+    """
+    require_count("compare", "configured species", len(cfg.species), 1)
+    _require_matched_models(cfg)
+
+    qcs = run_trials(Protocol.QCS_BASIC, cfg, seed, trials, lane=LANE_PRIMARY)
+    esct = run_trials(Protocol.ESCT_BASELINE, cfg, seed, trials, lane=LANE_BASELINE)
+
+    stats_qcs = _stats([r.error["time_offset"] for r in qcs])
+    stats_esct = _stats([r.error["time_offset"] for r in esct])
+    rms_esct = stats_esct["rms"]
+    summary = {
+        "trials": len(qcs),
+        "rms_qcs": stats_qcs["rms"],
+        "rms_esct": rms_esct,
+        "ratio": stats_qcs["rms"] / rms_esct if rms_esct > 0.0 else None,
+        "mean_error_qcs": stats_qcs["mean"],
+        "mean_error_esct": stats_esct["mean"],
+        "qcs_estimator_floor": _stats([r.diagnostics["sigma_time"] for r in qcs])["rms"],
+        "esct_floor": 0.0,
+    }
+    if keep_trials:
+        summary["trials_qcs"] = qcs
+        summary["trials_esct"] = esct
+    return summary
 
 
 def _write_json(path, payload):
@@ -177,7 +226,11 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
         leaf = parts[-1]
         if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"unknown sweep parameter {param!r}")
-        node[leaf] = type(node[leaf])(value) if isinstance(node[leaf], int) else value
+        if isinstance(node[leaf], bool):
+            if value not in (0, 1):
+                raise ConfigError(f"sweep values for {param!r} must be 0 or 1, got {value!r}")
+            value = bool(value)
+        node[leaf] = value  # from_dict checks int fields
     return ScenarioConfig.from_dict(doc)
 
 
@@ -197,8 +250,9 @@ def run_sweep(protocol_name, cfg, seed, trials, out_dir, param, values) -> dict:
                 "ratio": summary["ratio"],
             })
         else:
-            results = run_trials(PROTOCOL_BY_NAME[protocol_name], cfg_v, seed, trials)
-            key = PRIMARY_ERROR_KEY[protocol_name]
+            protocol = Protocol(protocol_name)
+            results = run_trials(protocol, cfg_v, seed, trials)
+            key = protocol.error_key
             stats = summarize_trials(results)["metrics"][key]
             rows.append({
                 "param": param,
@@ -256,7 +310,7 @@ def run_experiment(
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
     if subcommand == "sweep":
-        if protocol is None or protocol not in ("compare", *PROTOCOL_BY_NAME):
+        if protocol not in SWEEP_PROTOCOLS:
             raise ConfigError("sweep requires a valid --protocol")
         if not sweep_param or not sweep_values:
             raise ConfigError("sweep requires --sweep-param and --sweep-values")
@@ -274,7 +328,7 @@ def run_experiment(
         results = summary.pop("trials_qcs") + summary.pop("trials_esct")
         trials_by_protocol = {"qcs": trials, "esct": trials}
     else:
-        results = run_trials(PROTOCOL_BY_NAME[subcommand], cfg, seed, trials)
+        results = run_trials(Protocol(subcommand), cfg, seed, trials)
         summary = summarize_trials(results)
         trials_by_protocol = {subcommand: trials}
     summary = {"subcommand": subcommand, "seed": seed, **summary}

@@ -49,7 +49,6 @@ from .estimation import (
 from .quantum import (
     BasisPhase,
     EquatorialState,
-    Frequency,
     canonicalize,
     collapse_singlet,
     evolve,
@@ -63,15 +62,51 @@ from .transport import apply_transport, transport_phase
 LANE_PRIMARY = 0
 LANE_BASELINE = 1
 
-#: Relative tolerance for the matched-models precondition of compare runs.
-MATCHED_MODEL_RTOL = 1e-9
+_COUNT_WORDS = {1: "one", 2: "two"}
+
+
+def require_count(label: str, what: str, got: int, want: int | None):
+    """Raise ValueError unless `got` equals `want` (None accepts any count)."""
+    if want is not None and got != want:
+        raise ValueError(f"{label} requires exactly {_COUNT_WORDS[want]} {what}")
 
 
 class Protocol(str, Enum):
-    QCS_BASIC = "qcs"
-    QCS_BEAT = "beat"
-    QCS_SYNTONIZE = "syntonize"
-    ESCT_BASELINE = "esct"
+    """The protocol table: every fact about a protocol is written here once.
+
+    value      CLI subcommand name
+    error_key  error key the protocol is judged on (sweeps report it)
+    label      how rejection messages name the protocol
+    n_species  configured species it requires (None: any)
+    n_epochs   measurement epochs it requires (None: any; it reads the first)
+    """
+
+    QCS_BASIC = ("qcs", "time_offset", "basic protocol", 1, None)
+    QCS_BEAT = ("beat", "time_offset", "beat protocol", 2, None)
+    QCS_SYNTONIZE = ("syntonize", "rate_offset", "syntonization", 1, 2)
+    ESCT_BASELINE = ("esct", "time_offset", "esct", None, None)
+
+    def __new__(cls, name, error_key, label, n_species, n_epochs):
+        member = str.__new__(cls, name)
+        member._value_ = name
+        member.error_key = error_key
+        member.label = label
+        member.n_species = n_species
+        member.n_epochs = n_epochs
+        return member
+
+    def validate(self, cfg: ScenarioConfig):
+        """Reject a config this protocol cannot run; once per run, before any trial."""
+        require_count(self.label, "configured species", len(cfg.species), self.n_species)
+        require_count(self.label, "measurement epochs", len(cfg.epochs.b_measure), self.n_epochs)
+        if self is Protocol.QCS_BEAT:
+            f1, f2 = cfg.species.values()
+            if f1.omega == f2.omega:
+                raise ValueError("beat protocol requires omega1 != omega2 (beat undefined)")
+        elif self is Protocol.QCS_SYNTONIZE:
+            (freq,) = cfg.species.values()
+            t1, t2 = cfg.epochs.b_measure
+            check_rate_ambiguity(freq.omega, cfg.clock_b.y, t2 - t1)
 
 
 @dataclass(frozen=True)
@@ -170,7 +205,7 @@ def _run_species_phase(cfg, species, freq, tau, epoch_local, rng):
     else:
         m_ii = _collapse_type_ii_count(cfg.ensemble_size, rng, cfg.noiseless)
         n_kept = cfg.ensemble_size if cfg.use_type_i else m_ii
-        _, phi_common = transport_phase(cfg.transport, species, freq, rng)
+        phi_common = transport_phase(cfg.transport, species, freq, rng)
         state = EquatorialState(delta_a.delta)  # type II partner at collapse
         state = evolve(imprint_phase(state, phi_common), freq, tau)
         rec0, rec1 = _measure_quadratures_fast(
@@ -182,36 +217,50 @@ def _run_species_phase(cfg, species, freq, tau, epoch_local, rng):
     return est, phi_common, counts
 
 
-def _expected_phase(delta_b, freq, nominal_elapsed):
-    """B's model of the pre-clock phase: his own basis phase, nominal elapsed time."""
-    return canonicalize(delta_b.delta - freq.omega * nominal_elapsed)
+def _trigger_interval(cfg, rng):
+    """(B's epoch, true time from A's collapse to B's readout, its nominal value).
+
+    Single-epoch protocols read the first epoch. Draws clock_a's trigger
+    before clock_b's.
+    """
+    epoch = cfg.epochs.b_measure[0]
+    t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
+    t_meas = trigger_time(cfg.clock_b, epoch, rng)
+    return epoch, t_meas - t_collapse, epoch - cfg.epochs.a_start
+
+
+def _phase_residual(cfg, species, freq, epoch, tau, nominal, rng):
+    """One species' cycle and its phase residual against B's model of the pre-clock.
+
+    B's model is his own basis phase advanced by the nominal elapsed time.
+    Returns (residual in (-pi, pi], PhaseEstimate, phi_common, counts).
+    """
+    est, phi_common, counts = _run_species_phase(cfg, species, freq, tau, epoch, rng)
+    delta_b = basis_for(cfg.clock_b, species)
+    theta_exp = canonicalize(delta_b.delta - freq.omega * nominal)
+    return wrap_pi(theta_exp - est.theta_hat), est, phi_common, counts
 
 
 # -- protocols --------------------------------------------------------------
+#
+# The runners assume a config that `Protocol.validate` accepted; `run_trials`
+# checks that once per run.
 
 
 def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """Single-species time-offset recovery (protocol steps 1-4)."""
-    if len(cfg.species) != 1:
-        raise ValueError("basic protocol requires exactly one configured species")
     ((species, freq),) = cfg.species.items()
-    epoch = cfg.epochs.b_measure[0]
-
-    t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
-    t_meas = trigger_time(cfg.clock_b, epoch, rng)
-    tau = t_meas - t_collapse
-    nominal = epoch - cfg.epochs.a_start
-
-    est, phi_common, counts = _run_species_phase(cfg, species, freq, tau, epoch, rng)
-    theta_exp = _expected_phase(basis_for(cfg.clock_b, species), freq, nominal)
-    t_hat = wrap_pi(theta_exp - est.theta_hat) / freq.omega
+    epoch, tau, nominal = _trigger_interval(cfg, rng)
+    residual, est, phi_common, counts = _phase_residual(
+        cfg, species, freq, epoch, tau, nominal, rng
+    )
 
     truth = {
         "time_offset": tau - nominal,
         "rate_offset": cfg.clock_b.y,
         f"phi_common_{species}": phi_common,
     }
-    estimate = {"time_offset": t_hat}
+    estimate = {"time_offset": residual / freq.omega}
     diagnostics = {
         "theta_hat": est.theta_hat,
         "sigma_theta": est.sigma_theta,
@@ -232,27 +281,16 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     exactly -alpha, and a species-dependent offset beta2 - beta1 biases the
     result by (beta2 - beta1)/(omega1 - omega2).
     """
-    if len(cfg.species) != 2:
-        raise ValueError("beat protocol requires exactly two configured species")
     (sp1, f1), (sp2, f2) = cfg.species.items()
-    if f1.omega == f2.omega:
-        raise ValueError("beat protocol requires omega1 != omega2 (beat undefined)")
-    epoch = cfg.epochs.b_measure[0]
-
-    t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
-    t_meas = trigger_time(cfg.clock_b, epoch, rng)
-    tau = t_meas - t_collapse
-    nominal = epoch - cfg.epochs.a_start
+    epoch, tau, nominal = _trigger_interval(cfg, rng)
 
     truth = {"time_offset": tau - nominal, "rate_offset": cfg.clock_b.y}
     diagnostics = {}
     residuals = {}
-    sigmas = {}
     for species, freq in ((sp1, f1), (sp2, f2)):
-        est, phi_common, counts = _run_species_phase(cfg, species, freq, tau, epoch, rng)
-        theta_exp = _expected_phase(basis_for(cfg.clock_b, species), freq, nominal)
-        residuals[species] = wrap_pi(theta_exp - est.theta_hat)
-        sigmas[species] = est.sigma_theta
+        residuals[species], est, phi_common, counts = _phase_residual(
+            cfg, species, freq, epoch, tau, nominal, rng
+        )
         truth[f"phi_common_{species}"] = phi_common
         diagnostics[f"theta_hat_{species}"] = est.theta_hat
         diagnostics[f"sigma_theta_{species}"] = est.sigma_theta
@@ -263,7 +301,8 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     beat_omega = f1.omega - f2.omega
     beat_residual = wrap_pi(residuals[sp1] - residuals[sp2])
     t_beat = beat_residual / beat_omega
-    diagnostics["sigma_time"] = math.hypot(sigmas[sp1], sigmas[sp2]) / abs(beat_omega)
+    sigma_beat = math.hypot(diagnostics[f"sigma_theta_{sp1}"], diagnostics[f"sigma_theta_{sp2}"])
+    diagnostics["sigma_time"] = sigma_beat / abs(beat_omega)
 
     estimate = {"time_offset": t_beat}
     return _make_result(Protocol.QCS_BEAT, trial_id, truth, estimate, diagnostics)
@@ -279,13 +318,8 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
     B's clock rate against the atomic frequency itself. A's clock rate does
     not enter: the collapse is a single event.
     """
-    if len(cfg.species) != 1:
-        raise ValueError("syntonization requires exactly one configured species")
-    if len(cfg.epochs.b_measure) != 2:
-        raise ValueError("syntonization requires exactly two measurement epochs")
     ((species, freq),) = cfg.species.items()
     t1, t2 = cfg.epochs.b_measure
-    check_rate_ambiguity(freq.omega, cfg.clock_b.y, t2 - t1)
 
     t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
     delta_a = basis_for(cfg.clock_a, species)
@@ -313,7 +347,7 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
             rec0, rec1 = _measure_quadratures_pairwise(thetas, delta_b, species, epoch, rng)
             estimates.append(estimate_phase(rec0, rec1))
     else:
-        _, phi_common = transport_phase(cfg.transport, species, freq, rng)
+        phi_common = transport_phase(cfg.transport, species, freq, rng)
         at_collapse = imprint_phase(EquatorialState(delta_a.delta), phi_common)
         for epoch, n_pairs in zip((t1, t2), halves):
             t_meas = trigger_time(cfg.clock_b, epoch, rng)
@@ -364,58 +398,6 @@ def run_trials(protocol: Protocol, cfg: ScenarioConfig, seed=None, trials=None,
     trials = cfg.trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    protocol.validate(cfg)
     runner = _RUNNERS[protocol]
     return [runner(cfg, trial_stream(seed, i, lane), trial_id=i) for i in range(trials)]
-
-
-def _require_matched_models(cfg: ScenarioConfig, freq: Frequency):
-    implied_jitter = cfg.transport.sigma_common / freq.omega
-    alpha_gap = abs(cfg.trip.alpha - cfg.transport.alpha)
-    jitter_gap = abs(cfg.trip.jitter - implied_jitter)
-    alpha_tol = MATCHED_MODEL_RTOL * max(abs(cfg.trip.alpha), abs(cfg.transport.alpha))
-    jitter_tol = MATCHED_MODEL_RTOL * max(abs(cfg.trip.jitter), abs(implied_jitter))
-    if alpha_gap > alpha_tol or jitter_gap > jitter_tol:
-        raise ValueError(
-            "compare requires matched models: trip.alpha == transport.alpha "
-            "and trip.jitter == transport.sigma_common/omega; got "
-            f"trip=({cfg.trip.alpha}, {cfg.trip.jitter}) vs "
-            f"transport=({cfg.transport.alpha}, {implied_jitter})"
-        )
-
-
-def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None,
-                        keep_trials: bool = False) -> dict:
-    """Head-to-head RMS time error of the entangled protocol vs. the clock trip.
-
-    Requires matched models (trip.alpha = transport.alpha and trip.jitter =
-    sigma_common/omega): then the two protocols face the same disturbance and
-    the entangled one differs only by its binomial estimation floor, which is
-    reported separately.
-    """
-    if len(cfg.species) != 1:
-        raise ValueError("compare requires exactly one configured species")
-    ((_, freq),) = cfg.species.items()
-    _require_matched_models(cfg, freq)
-
-    qcs = run_trials(Protocol.QCS_BASIC, cfg, seed, trials, lane=LANE_PRIMARY)
-    esct = run_trials(Protocol.ESCT_BASELINE, cfg, seed, trials, lane=LANE_BASELINE)
-
-    err_qcs = np.array([r.error["time_offset"] for r in qcs])
-    err_esct = np.array([r.error["time_offset"] for r in esct])
-    rms_qcs = float(np.sqrt(np.mean(err_qcs**2)))
-    rms_esct = float(np.sqrt(np.mean(err_esct**2)))
-    floor = float(np.sqrt(np.mean(np.array([r.diagnostics["sigma_time"] for r in qcs]) ** 2)))
-    summary = {
-        "trials": len(qcs),
-        "rms_qcs": rms_qcs,
-        "rms_esct": rms_esct,
-        "ratio": rms_qcs / rms_esct if rms_esct > 0.0 else None,
-        "mean_error_qcs": float(np.mean(err_qcs)),
-        "mean_error_esct": float(np.mean(err_esct)),
-        "qcs_estimator_floor": floor,
-        "esct_floor": 0.0,
-    }
-    if keep_trials:
-        summary["trials_qcs"] = qcs
-        summary["trials_esct"] = esct
-    return summary

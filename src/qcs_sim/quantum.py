@@ -76,11 +76,6 @@ class EquatorialState:
         return int(np.size(self.theta))
 
 
-#: The two dual-basis states reachable at delta = 0.
-POS = EquatorialState(0.0)
-NEG = EquatorialState(math.pi)
-
-
 @dataclass(frozen=True)
 class BasisPhase:
     """Phase delta of a {pos_delta, neg_delta} measurement basis, [0, 2*pi).
@@ -141,11 +136,6 @@ def prob_pos(state: EquatorialState, basis: BasisPhase):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def prob_neg(state: EquatorialState, basis: BasisPhase):
-    """Probability of the orthogonal neg-type outcome, exactly 1 - prob_pos."""
-    return 1.0 - prob_pos(state, basis)
-
-
 def collapse_singlet(basis_a: BasisPhase, rng, size=None) -> CollapseOutcome:
     """Measure the A halves of `size` singlets in basis_a (one pair if None).
 
@@ -164,19 +154,3 @@ def collapse_singlet(basis_a: BasisPhase, rng, size=None) -> CollapseOutcome:
         theta_b = np.where(type_i, basis_a.delta + math.pi, basis_a.delta)
     return CollapseOutcome(type_i, EquatorialState(theta_b))
 
-
-def ramsey_prob(freq: Frequency, omega_osc: float, T: float, dphi_osc: float = 0.0) -> float:
-    """Two-pulse interrogation fringe against a local oscillator.
-
-    P = (1 + cos((omega - omega_osc)*T + dphi_osc)) / 2 for dark time T,
-    oscillator frequency omega_osc and oscillator-vs-precession relative
-    phase dphi_osc. On resonance with a phase-locked oscillator
-    (omega_osc = omega, dphi_osc = 0) the outcome is 1 for every T: the
-    fringe carries no dark-time dependence, only detuning and oscillator
-    phase do.
-    """
-    T = float(T)
-    if not math.isfinite(T) or T < 0.0:
-        raise ValueError(f"T must be finite and >= 0, got {T}")
-    detuning = freq.omega - float(omega_osc)
-    return 0.5 * (1.0 + math.cos(detuning * T + float(dphi_osc)))

@@ -60,30 +60,19 @@ def beta_for(model: TransportModel, species: str) -> float:
         ) from None
 
 
-def deterministic_phase(model: TransportModel, species: str, freq: Frequency) -> float:
-    """alpha * omega + beta[species], rad (unreduced)."""
-    return model.alpha * freq.omega + beta_for(model, species)
+def transport_phase(model: TransportModel, species: str, freq: Frequency, rng=None) -> float:
+    """Draw the phase one transported ensemble shares, phi_common, in rad.
 
-
-def transport_phase(model: TransportModel, species: str, freq: Frequency, rng=None):
-    """Draw the transport phase for one pair of one ensemble.
-
-    Returns (phi_total, phi_common), both in rad and deliberately unreduced so
-    callers can reason about unwrapped phase. phi_common is the per-ensemble
-    draw (deterministic part plus common-mode jitter); phi_total adds the
-    pair's own jitter.
+    phi_common is the deterministic part alpha * omega + beta[species] plus
+    the common-mode jitter; it is deliberately unreduced so callers can
+    reason about unwrapped phase. Per-pair jitter is not included.
     """
-    phi_common = deterministic_phase(model, species, freq)
+    phi_common = model.alpha * freq.omega + beta_for(model, species)
     if model.sigma_common > 0.0:
         if rng is None:
             raise ValueError("rng required when sigma_common > 0")
         phi_common += model.sigma_common * rng.standard_normal()
-    phi_total = phi_common
-    if model.sigma_pair > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma_pair > 0")
-        phi_total += model.sigma_pair * rng.standard_normal()
-    return phi_total, phi_common
+    return phi_common
 
 
 def apply_transport(
@@ -100,18 +89,11 @@ def apply_transport(
     Returns (transported_states, phi_common) with phi_common unreduced, so the
     trial log can expose the drawn value for oracle checks.
     """
-    n = states.size
-    if n == 0:
+    if states.size == 0:
         raise ValueError("ensemble must be non-empty")
-    phi_common = deterministic_phase(model, species, freq)
-    if model.sigma_common > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma_common > 0")
-        phi_common += model.sigma_common * rng.standard_normal()
+    phi = phi_common = transport_phase(model, species, freq, rng)
     if model.sigma_pair > 0.0:
         if rng is None:
             raise ValueError("rng required when sigma_pair > 0")
         phi = phi_common + model.sigma_pair * rng.standard_normal(np.shape(states.theta))
-    else:
-        phi = phi_common
     return imprint_phase(states, phi), phi_common

@@ -12,16 +12,16 @@ from qcs_sim import (
     BasisPhase,
     EquatorialState,
     Frequency,
+    compare_equivalence,
     evolve,
     prob_pos,
-    ramsey_prob,
     run_experiment,
     run_qcs_basic,
     run_qcs_beat,
     run_trials,
     trial_stream,
 )
-from qcs_sim.protocols import Protocol, compare_equivalence
+from qcs_sim.protocols import Protocol
 
 from amplitude_oracle import (
     circular_diff,
@@ -30,6 +30,7 @@ from amplitude_oracle import (
     relative_phase,
     state_from_theta,
 )
+from quantum_helpers import ramsey_prob
 from scenarios import OMEGA_CS, OMEGA_RB, matched_compare, one_species, syntonize, two_species
 
 TWO_PI = 2 * math.pi

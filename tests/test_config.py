@@ -4,6 +4,7 @@ import math
 import pytest
 
 from qcs_sim import ConfigError, ScenarioConfig, load_config
+from qcs_sim.harness import apply_sweep_value
 
 OMEGA = 2 * math.pi * 1e6
 
@@ -134,3 +135,29 @@ def test_load_config_happy_path(tmp_path):
     cfg = load_config(p)
     assert cfg.seed == 42
     assert cfg.trip.jitter == 1e-10
+
+
+@pytest.mark.parametrize("how,field,value", [
+    ("load", "use_type_i", "false"),
+    ("load", "noiseless", "no"),
+    ("load", "seed", 1.9),
+    ("load", "trials", 2.7),
+    ("load", "ensemble_size", "abc"),
+    ("sweep", "use_type_i", 0.5),
+    ("sweep", "seed", 3.9),
+])
+def test_no_silent_coercion_of_int_and_bool_fields(how, field, value):
+    with pytest.raises(ConfigError, match=field):
+        if how == "load":
+            ScenarioConfig.from_dict(dict(MINIMAL, **{field: value}))
+        else:
+            apply_sweep_value(ScenarioConfig.from_dict(MINIMAL), field, value)
+
+
+def test_integral_floats_and_boolean_sweeps_are_accepted():
+    cfg = ScenarioConfig.from_dict(full_doc(ensemble_size=1e6, seed=7.0))
+    assert cfg.ensemble_size == 1_000_000 and type(cfg.ensemble_size) is int
+    assert cfg.seed == 7 and type(cfg.seed) is int
+    assert apply_sweep_value(cfg, "use_type_i", 1.0).use_type_i is True
+    assert apply_sweep_value(cfg, "use_type_i", 0.0).use_type_i is False
+    assert apply_sweep_value(cfg, "trials", 20.0).trials == 20

@@ -75,7 +75,7 @@ def test_oscillator_phase_mismatch_biases_by_delta_over_omega():
 def test_basic_rejects_two_species():
     cfg = two_species()
     with pytest.raises(ValueError, match="one configured species"):
-        run_qcs_basic(cfg, trial_stream(0, 0))
+        run_trials(Protocol.QCS_BASIC, cfg, seed=0, trials=1)
 
 
 def test_error_map_is_estimate_minus_truth():
@@ -140,10 +140,10 @@ def test_use_type_i_keeps_all_pairs():
 
 def test_beat_requires_two_distinct_species():
     with pytest.raises(ValueError, match="two configured species"):
-        run_qcs_beat(one_species(), trial_stream(0, 0))
+        run_trials(Protocol.QCS_BEAT, one_species(), seed=0, trials=1)
     cfg = two_species(species={"cs": OMEGA_CS, "rb": OMEGA_CS})
     with pytest.raises(ValueError, match="beat undefined"):
-        run_qcs_beat(cfg, trial_stream(0, 0))
+        run_trials(Protocol.QCS_BEAT, cfg, seed=0, trials=1)
 
 
 def test_beat_succeeds_when_oscillator_phases_match():
@@ -205,10 +205,10 @@ def test_syntonize_invariant_under_common_phase():
 
 def test_syntonize_epoch_and_ambiguity_guards():
     with pytest.raises(ValueError, match="two measurement epochs"):
-        run_qcs_syntonize(one_species(), trial_stream(0, 0))
+        run_trials(Protocol.QCS_SYNTONIZE, one_species(), seed=0, trials=1)
     cfg = syntonize(y=1e-6, rad_advance=0.5, epochs={"a_start": 0.0, "b_measure": [1.0, 2.0]})
     with pytest.raises(AmbiguityError):
-        run_qcs_syntonize(cfg, trial_stream(0, 0))
+        run_trials(Protocol.QCS_SYNTONIZE, cfg, seed=0, trials=1)
 
 
 def test_syntonize_pairwise_path_matches():

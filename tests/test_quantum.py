@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qcs_sim import (
-    NEG,
-    POS,
     BasisPhase,
     EquatorialState,
     Frequency,
@@ -13,9 +11,7 @@ from qcs_sim import (
     collapse_singlet,
     evolve,
     imprint_phase,
-    prob_neg,
     prob_pos,
-    ramsey_prob,
 )
 
 from amplitude_oracle import (
@@ -25,6 +21,7 @@ from amplitude_oracle import (
     relative_phase,
     state_from_theta,
 )
+from quantum_helpers import NEG, POS, prob_neg, ramsey_prob
 
 TWO_PI = 2 * math.pi
 

@@ -1,0 +1,32 @@
+"""The benchmark tracer still finds every name it wraps.
+
+`perfbench/spans.py::instrument` replaces module globals, dispatch-table
+entries and class attributes by name. A refactor that renames or drops one
+of them breaks only the traced benchmark run; this test makes it fail the
+ordinary suite instead.
+"""
+from pathlib import Path
+
+from qcs_sim import harness, protocols, run_experiment
+
+from scenarios import matched_compare
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_tracer_instruments_installs_and_restores(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    originals = dict(protocols._RUNNERS), harness.run_trials, protocols.transport_phase
+    tracer, counters = spans.Tracer(), spans.Counters()
+    spans.instrument(tracer, counters)
+    tracer.install()
+    try:
+        cfg = matched_compare(ensemble_size=4000)
+        run_experiment("compare", cfg, tmp_path / "run", seed=1, trials=2)
+    finally:
+        tracer.uninstall()
+    assert (dict(protocols._RUNNERS), harness.run_trials, protocols.transport_phase) == originals
+    assert spans.Profile(tracer).analyse(tracer.take()) == []
+    assert counters.ensemble == 2 * cfg.ensemble_size
