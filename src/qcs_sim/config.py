@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -24,6 +25,10 @@ from .transport import TransportModel
 #: Minimum pairs per measurement epoch (>= 100 per quadrature after the
 #: ~50% type-II selection).
 MIN_ENSEMBLE_PER_EPOCH = 400
+
+#: numpy's hypergeometric samplers, which a shuffled type list needs, take
+#: fewer than 1e9 items.
+MAX_SHUFFLED_ENSEMBLE = 10**9
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"ensemble_size must be >= {MIN_ENSEMBLE_PER_EPOCH} per "
                 f"measurement epoch ({floor} here), got {self.ensemble_size}"
+            )
+        if self.shuffle_type_list and self.ensemble_size >= MAX_SHUFFLED_ENSEMBLE:
+            raise ConfigError(
+                f"ensemble_size must be < {MAX_SHUFFLED_ENSEMBLE} with "
+                f"shuffle_type_list, got {self.ensemble_size}"
             )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -194,12 +204,12 @@ def _number(value, where) -> float:
 
 
 def _int(value, where) -> int:
-    """An integer, or an integral float such as 1e6."""
+    """An integer (numpy's too), or an integral float such as 1e6."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _bool(value, where) -> bool:

@@ -24,12 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _int
 from .errors import ConfigError
 from .protocols import LANE_BASELINE, LANE_PRIMARY, Protocol, require_count, run_trials
 from .rng import RNG_ALGORITHM
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 #: What `sweep --protocol` accepts: every protocol, plus the compare pairing.
 SWEEP_PROTOCOLS = (*(p.value for p in Protocol), "compare")
@@ -304,8 +304,8 @@ def run_experiment(
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    seed = cfg.seed if seed is None else int(seed)
-    trials = cfg.trials if trials is None else int(trials)
+    seed = cfg.seed if seed is None else _int(seed, "seed")
+    trials = cfg.trials if trials is None else _int(trials, "trials")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 

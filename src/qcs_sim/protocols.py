@@ -21,12 +21,15 @@ convention a transport phase phi biases t_hat by -phi/omega (an effective
 delay alpha gives bias -alpha, in basic and beat runs alike) and an
 oscillator-phase mismatch biases it by (delta_B - delta_A)/omega.
 
-Sampling: when every retained pair carries the same phase (no per-pair
-transport jitter, no shuffled type list), per-pair Bernoulli outcomes are
-summed analytically and counts are drawn directly from the exact Binomial
-law; otherwise pairs are simulated individually (vectorized). Both paths
-sample the same distribution; the choice is a deterministic function of the
-configuration.
+Sampling: counts are drawn exactly, without simulating pairs. B's kept list
+is a sequence of (good, bad) blocks: good pairs sit at the common phase,
+bad pairs (partners a shuffled list mislabels) sit half a turn away, and
+each block is in uniformly random order. Basis 0 reads the first half
+of the list, so its good count is hypergeometric block by block, and each
+basis then yields a Binomial count per kind. Independent per-pair transport
+jitter enters as the contrast factor exp(-sigma_pair**2 / 2). The per-pair
+simulation this law replaces is kept in tests/pairwise_oracle.py as the
+reference the sampler is tested against.
 """
 from __future__ import annotations
 
@@ -34,10 +37,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .clocks import basis_for, esct_transfer, trigger_time
-from .config import ScenarioConfig
+from .config import ScenarioConfig, _int
 from .estimation import (
     MeasurementRecord,
     PhaseEstimate,
@@ -46,17 +47,11 @@ from .estimation import (
     estimate_rate,
     wrap_pi,
 )
-from .quantum import (
-    BasisPhase,
-    EquatorialState,
-    canonicalize,
-    collapse_singlet,
-    evolve,
-    imprint_phase,
-    prob_pos,
-)
+from .quantum import BasisPhase, EquatorialState, canonicalize, evolve, imprint_phase, prob_pos
+from .quantum import collapse_singlet  # noqa: F401  unused; perfbench's tracer looks it up here
 from .rng import trial_stream
-from .transport import apply_transport, transport_phase
+from .transport import apply_transport  # noqa: F401  unused; perfbench's tracer looks it up here
+from .transport import transport_phase
 
 #: Stream lanes for runs that interleave two protocols.
 LANE_PRIMARY = 0
@@ -133,84 +128,91 @@ def _make_result(protocol, trial_id, truth, estimate, diagnostics) -> TrialResul
 # -- one sub-ensemble: select, dephase, read out ---------------------------
 
 
-def _collapse_type_ii_count(n_pairs, rng, noiseless):
-    if noiseless:
-        return 0.5 * n_pairs
-    return int(rng.binomial(int(n_pairs), 0.5))
+def _kept_lists(cfg, sizes, rng):
+    """B's kept list for each sub-ensemble of one collapse, as (good, bad) blocks.
+
+    A's type list covers all `sizes` pairs, so shuffling it in transit mixes
+    labels across sub-ensembles: the announced type II pairs are a uniform
+    subset of the whole ensemble, counted per (sub-ensemble, true type) cell.
+    With use_type_i the announced type I pairs follow, corrected by pi, which
+    makes A's true type I partners good and mislabeled type II partners bad.
+    """
+    if cfg.noiseless:
+        ms = [0.5 * n for n in sizes]
+    else:  # A's type II outcomes per sub-ensemble
+        ms = [int(rng.binomial(int(n), 0.5)) for n in sizes]
+    if cfg.shuffle_type_list:
+        colors = [c for n, m in zip(sizes, ms) for c in (m, n - m)]
+        cells = rng.multivariate_hypergeometric(colors, sum(ms)).tolist()
+        announced_ii = list(zip(cells[0::2], cells[1::2]))
+    else:
+        announced_ii = [(m, 0) for m in ms]
+    if not cfg.use_type_i:
+        return [[block] for block in announced_ii]
+    return [[(good, bad), (n - m - bad, m - good)]
+            for n, m, (good, bad) in zip(sizes, ms, announced_ii)]
 
 
-def _measure_quadratures_fast(state, n_kept, delta_b, species, epoch_local, rng, noiseless):
-    """Exact count sampling when all kept pairs share one phase."""
+def _split_good(blocks, n0, rng):
+    """Good pairs among the first n0 entries of shuffled (good, bad) blocks, and in the rest."""
+    g0 = g1 = 0
+    for good, bad in blocks:
+        take = min(n0, good + bad)
+        # numpy draws even on a split with no choice; skipping those keeps the
+        # draws of an honest list unchanged
+        if good and bad and 0 < take < good + bad:
+            g = int(rng.hypergeometric(good, bad, take))
+        else:
+            g = min(good, take)
+        g0 += g
+        g1 += good - g
+        n0 -= take
+    return g0, g1
+
+
+def _count_pos(good, bad, p, rng):
+    """Pos-type outcomes of `good` pairs reading p and `bad` pairs reading 1 - p."""
+    k = int(rng.binomial(good, p))
+    return k + int(rng.binomial(bad, 1.0 - p)) if bad else k
+
+
+def _measure_quadratures(cfg, state, blocks, delta_b, species, epoch_local, rng):
+    """Read B's kept list out in two quadrature bases: basis 0 takes the first half."""
     basis0 = delta_b
     basis1 = BasisPhase(delta_b.delta + 0.5 * math.pi)
     p0 = prob_pos(state, basis0)
     p1 = prob_pos(state, basis1)
-    if noiseless:
+    n_kept = sum(good + bad for good, bad in blocks)
+    if cfg.noiseless:
         n0 = n1 = 0.5 * n_kept
         k0 = n0 * p0
         k1 = n1 * p1
     else:
-        n0 = int(n_kept) // 2
-        n1 = int(n_kept) - n0
-        k0 = int(rng.binomial(n0, p0))
-        k1 = int(rng.binomial(n1, p1))
+        sigma = cfg.transport.sigma_pair
+        # skipped at 0, where 0.5 + (p - 0.5) can differ from p in the last bit
+        if sigma > 0.0:
+            contrast = math.exp(-0.5 * sigma * sigma)
+            p0 = 0.5 + contrast * (p0 - 0.5)
+            p1 = 0.5 + contrast * (p1 - 0.5)
+        n0 = n_kept // 2
+        n1 = n_kept - n0
+        g0, g1 = _split_good(blocks, n0, rng)
+        k0 = _count_pos(g0, n0 - g0, p0, rng)
+        k1 = _count_pos(g1, n1 - g1, p1, rng)
     rec0 = MeasurementRecord(n0, k0, basis0, epoch_local, species)
     rec1 = MeasurementRecord(n1, k1, basis1, epoch_local, species)
     return rec0, rec1
-
-
-def _measure_quadratures_pairwise(thetas, delta_b, species, epoch_local, rng):
-    """Per-pair Bernoulli sampling for ensembles with heterogeneous phases."""
-    basis0 = delta_b
-    basis1 = BasisPhase(delta_b.delta + 0.5 * math.pi)
-    n0 = thetas.size // 2
-    p0 = prob_pos(EquatorialState(thetas[:n0]), basis0)
-    p1 = prob_pos(EquatorialState(thetas[n0:]), basis1)
-    k0 = int(np.count_nonzero(rng.random(p0.size) < p0))
-    k1 = int(np.count_nonzero(rng.random(p1.size) < p1))
-    rec0 = MeasurementRecord(n0, k0, basis0, epoch_local, species)
-    rec1 = MeasurementRecord(thetas.size - n0, k1, basis1, epoch_local, species)
-    return rec0, rec1
-
-
-def _announced_types(outcome, cfg, rng):
-    """A's type list as delivered to B (optionally shuffled in transit)."""
-    if cfg.shuffle_type_list:
-        return rng.permutation(outcome.type_i)
-    return outcome.type_i
-
-
-def _apply_type_list(thetas, announced, use_type_i):
-    """B keeps the pairs announced as type II (plus corrected type I if enabled)."""
-    kept = thetas[~announced]
-    if use_type_i:
-        kept = np.concatenate([kept, canonicalize(thetas[announced] + math.pi)])
-    return kept
 
 
 def _run_species_phase(cfg, species, freq, tau, epoch_local, rng):
     """One species' full pre-clock cycle; returns (PhaseEstimate, phi_common, counts)."""
     delta_a = basis_for(cfg.clock_a, species)
     delta_b = basis_for(cfg.clock_b, species)
-    pairwise = cfg.transport.sigma_pair > 0.0 or cfg.shuffle_type_list
-    if pairwise:
-        outcome = collapse_singlet(delta_a, rng, size=cfg.ensemble_size)
-        transported, phi_common = apply_transport(
-            outcome.state_b, cfg.transport, species, freq, rng
-        )
-        announced = _announced_types(outcome, cfg, rng)
-        kept = _apply_type_list(transported.theta, announced, cfg.use_type_i)
-        kept = evolve(EquatorialState(kept), freq, tau).theta
-        rec0, rec1 = _measure_quadratures_pairwise(kept, delta_b, species, epoch_local, rng)
-    else:
-        m_ii = _collapse_type_ii_count(cfg.ensemble_size, rng, cfg.noiseless)
-        n_kept = cfg.ensemble_size if cfg.use_type_i else m_ii
-        phi_common = transport_phase(cfg.transport, species, freq, rng)
-        state = EquatorialState(delta_a.delta)  # type II partner at collapse
-        state = evolve(imprint_phase(state, phi_common), freq, tau)
-        rec0, rec1 = _measure_quadratures_fast(
-            state, n_kept, delta_b, species, epoch_local, rng, cfg.noiseless
-        )
+    (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
+    phi_common = transport_phase(cfg.transport, species, freq, rng)
+    state = EquatorialState(delta_a.delta)  # type II partner at collapse
+    state = evolve(imprint_phase(state, phi_common), freq, tau)
+    rec0, rec1 = _measure_quadratures(cfg, state, blocks, delta_b, species, epoch_local, rng)
     est = estimate_phase(rec0, rec1)
     counts = {"n0": float(rec0.n), "k0": float(rec0.k_pos),
               "n1": float(rec1.n), "k1": float(rec1.k_pos)}
@@ -327,38 +329,20 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
     n_half = cfg.ensemble_size // 2
     halves = (n_half, cfg.ensemble_size - n_half)
 
-    pairwise = cfg.transport.sigma_pair > 0.0 or cfg.shuffle_type_list
     estimates: list[PhaseEstimate] = []
     diagnostics = {}
-    if pairwise:
-        outcome = collapse_singlet(delta_a, rng, size=cfg.ensemble_size)
-        transported, phi_common = apply_transport(
-            outcome.state_b, cfg.transport, species, freq, rng
-        )
-        announced = _announced_types(outcome, cfg, rng)
-        # the doubled ensemble is split by pair index into one sub-ensemble
-        # per epoch; each half runs the ordinary selection and readout
-        slices = (slice(0, n_half), slice(n_half, None))
-        for epoch, half in zip((t1, t2), slices):
-            t_meas = trigger_time(cfg.clock_b, epoch, rng)
-            tau = t_meas - t_collapse
-            kept = _apply_type_list(transported.theta[half], announced[half], cfg.use_type_i)
-            thetas = evolve(EquatorialState(kept), freq, tau).theta
-            rec0, rec1 = _measure_quadratures_pairwise(thetas, delta_b, species, epoch, rng)
-            estimates.append(estimate_phase(rec0, rec1))
-    else:
-        phi_common = transport_phase(cfg.transport, species, freq, rng)
-        at_collapse = imprint_phase(EquatorialState(delta_a.delta), phi_common)
-        for epoch, n_pairs in zip((t1, t2), halves):
-            t_meas = trigger_time(cfg.clock_b, epoch, rng)
-            tau = t_meas - t_collapse
-            m_ii = _collapse_type_ii_count(n_pairs, rng, cfg.noiseless)
-            n_kept = n_pairs if cfg.use_type_i else m_ii
-            state = evolve(at_collapse, freq, tau)
-            rec0, rec1 = _measure_quadratures_fast(
-                state, n_kept, delta_b, species, epoch, rng, cfg.noiseless
-            )
-            estimates.append(estimate_phase(rec0, rec1))
+    phi_common = transport_phase(cfg.transport, species, freq, rng)
+    at_collapse = imprint_phase(EquatorialState(delta_a.delta), phi_common)
+    # a shuffled list couples the halves, so both are drawn at once; an honest
+    # one is drawn half by half, after B's trigger for that half
+    kept = _kept_lists(cfg, halves, rng) if cfg.shuffle_type_list else None
+    for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
+        t_meas = trigger_time(cfg.clock_b, epoch, rng)
+        tau = t_meas - t_collapse
+        blocks = kept[h] if kept else _kept_lists(cfg, (n_pairs,), rng)[0]
+        state = evolve(at_collapse, freq, tau)
+        rec0, rec1 = _measure_quadratures(cfg, state, blocks, delta_b, species, epoch, rng)
+        estimates.append(estimate_phase(rec0, rec1))
 
     for i, est in enumerate(estimates, start=1):
         diagnostics[f"theta_hat_{i}"] = est.theta_hat
@@ -394,8 +378,8 @@ def run_trials(protocol: Protocol, cfg: ScenarioConfig, seed=None, trials=None,
     Results come back in trial_id order regardless of any execution order, so
     a parallel driver would merge to the same stream.
     """
-    seed = cfg.seed if seed is None else int(seed)
-    trials = cfg.trials if trials is None else int(trials)
+    seed = cfg.seed if seed is None else _int(seed, "seed")
+    trials = cfg.trials if trials is None else _int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     protocol.validate(cfg)

@@ -95,14 +95,14 @@ class BasisPhase:
 
 @dataclass(frozen=True, eq=False)
 class CollapseOutcome:
-    """Result of measuring the A side of one or many singlets in a common basis.
+    """Result of measuring the A side of one singlet.
 
-    `type_i` is True where A saw the pos-type outcome (type I); `state_b` holds
-    the partner state(s) left on the B side, expressed in the same basis frame
+    `type_i` is True when A saw the pos-type outcome (type I); `state_b` holds
+    the partner state left on the B side, expressed in the same basis frame
     at the collapse instant: type I leaves B at delta + pi, type II at delta.
     """
 
-    type_i: bool | np.ndarray
+    type_i: bool
     state_b: EquatorialState
 
 
@@ -136,21 +136,16 @@ def prob_pos(state: EquatorialState, basis: BasisPhase):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def collapse_singlet(basis_a: BasisPhase, rng, size=None) -> CollapseOutcome:
-    """Measure the A halves of `size` singlets in basis_a (one pair if None).
+def collapse_singlet(basis_a: BasisPhase, rng) -> CollapseOutcome:
+    """Measure the A half of one singlet in basis_a.
 
-    Each A outcome is type I (pos) or type II (neg) with probability 1/2.
+    The A outcome is type I (pos) or type II (neg) with probability 1/2.
     Singlet anticorrelation fixes the B partner in the same frame: a type I
     outcome leaves B in the neg-type state (theta = delta + pi), a type II
     outcome leaves B in the pos-type state (theta = delta).
 
-    `rng` is an owned numpy Generator; one uniform is consumed per pair.
+    `rng` is an owned numpy Generator; one uniform is consumed.
     """
-    if size is None:
-        type_i = bool(rng.random() < 0.5)
-        theta_b = basis_a.delta + (math.pi if type_i else 0.0)
-    else:
-        type_i = rng.random(int(size)) < 0.5
-        theta_b = np.where(type_i, basis_a.delta + math.pi, basis_a.delta)
+    type_i = bool(rng.random() < 0.5)
+    theta_b = basis_a.delta + (math.pi if type_i else 0.0)
     return CollapseOutcome(type_i, EquatorialState(theta_b))
-

@@ -83,6 +83,13 @@ def test_ensemble_floor_scales_with_epochs():
         ScenarioConfig.from_dict(two_epochs)
 
 
+def test_shuffled_ensemble_stays_below_hypergeometric_limit():
+    with pytest.raises(ConfigError, match="ensemble_size"):
+        ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=10**9, shuffle_type_list=True))
+    ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=10**9 - 1, shuffle_type_list=True))
+    ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=10**12))
+
+
 def test_trials_floor():
     with pytest.raises(ConfigError, match="trials"):
         ScenarioConfig.from_dict(dict(MINIMAL, trials=0))

@@ -38,6 +38,9 @@ def _cases():
         "qcs-pairwise": (dict(subcommand="qcs", seed=12), one_species(
             ensemble_size=4000, trials=4, use_type_i=True, clock_b=noisy_b,
             transport=dict(noisy_transport, sigma_pair=0.02))),
+        "qcs-shuffle": (dict(subcommand="qcs", seed=18), one_species(
+            ensemble_size=4000, trials=4, use_type_i=True, shuffle_type_list=True,
+            clock_b=noisy_b, transport=dict(noisy_transport, sigma_pair=0.02))),
         "beat": (dict(subcommand="beat", seed=13), two_species(
             ensemble_size=4000, trials=6, use_type_i=True,
             clock_b={"sigma_read": 1e-10, "delta_by_species": {"cs": 0.7, "rb": 0.7}},
@@ -45,6 +48,9 @@ def _cases():
                        "beta_by_species": {"cs": 0.0, "rb": 0.3}})),
         "syntonize": (dict(subcommand="syntonize", seed=14), syntonize(
             y=1e-12, ensemble_size=8000, trials=6,
+            transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
+        "syntonize-shuffle": (dict(subcommand="syntonize", seed=19), syntonize(
+            y=1e-12, ensemble_size=8000, trials=4, use_type_i=True, shuffle_type_list=True,
             transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
         "esct": (dict(subcommand="esct", seed=15), one_species(
             ensemble_size=4000, trials=6,
@@ -76,49 +82,61 @@ GOLDEN = {
         "beat/summary.json":
             "3abd13056642da067e77649556f94194e17a42427a88640046def3f1f450cb2a",
         "beat/manifest.json":
-            "cb99f5087ae2993bad85b678b49afba6c935ff2332210a711e13897c293b8221",
+            "be3383d0874d4dc832c71681c4abd666683a4262ebf0b626e7a5c5d9b45c3c7b",
         "compare/results.csv":
             "460fba9a5c8ad1712a2a58cb9e3f80232da562fa3adfb6dc5c5abeffe6dd5059",
         "compare/summary.json":
             "a71ba402464627bf8b9386b8cabdfe935f1a4a00bff4ea0f582499f2dae65338",
         "compare/manifest.json":
-            "1b5ab9ce68fb909d65b73cca531454fdb23b21061257954491aa0f8800b5070c",
+            "fd0a3b8d3fb19f7347d7f8b6dc4d44ae1d9e3fd915ac27885d922de25543e357",
         "esct/results.csv":
             "6de5cba14581f0caab5ab951efdfbca04d2a562720ad5f5984e57969a54216ea",
         "esct/summary.json":
             "ba538dff21b43d1c627f257deff3d3c8af22d60de635728626b892ac0d03873f",
         "esct/manifest.json":
-            "d37823ccc5e3d3e296c50ce3e62e1cd7228e8d4bfed5d5ba2d4c572582372347",
+            "9676dbccacf74430f7c3c136e0c50f2d6aaad89bbe5e952a992e9a20b800e360",
         "qcs/results.csv":
             "2923fb50a0f4d7cb72c4a62d175241c38154b4c078fda05cc98357509f17b71d",
         "qcs/summary.json":
             "abd77777c0b734d01347fb87faee7d826e7f49a8ffcd8e36a18fdfa14b58de43",
         "qcs/manifest.json":
-            "f30ddb240b4e34a27684c4c89fc398cff1364c3711b1cf4ae0cdf04f039d09e0",
+            "87af537de7bdd216fc8ff3906e2765feee06b258a119c14f50056a621606717d",
         "qcs-noiseless/results.csv":
             "d63e2b11c05f378632e0fd82ea07a484def7e3a408e7767e99992756169a8ab9",
         "qcs-noiseless/summary.json":
             "2dd009737c6c5681b6f32db9d6660763198fe2b362d430478afed347b262ffdd",
         "qcs-noiseless/manifest.json":
-            "76f257328764ca984a22c3510a168dc9d37235573ad13d4ff44800ce0961908f",
+            "e07d61b599942db9061fa2019769cab9e0aadd04e89ecf93c01c1f3fcef33933",
         "qcs-pairwise/results.csv":
-            "c6f21c3e07ebf813834a1712b3453c9408f1d9aa411a7af981e9f9d156e3fef4",
+            "6859b854848e43125cc033f7ff6deee9d04c96032ef5962967040ba0e53a1bb5",
         "qcs-pairwise/summary.json":
-            "874980a273695a7bae7b4ef7bfb578a8c6b80f1e4e0cd11cb37adedbbc4bbae2",
+            "0d40f3ec0e2bb98b5d19a41ae7df8ad86a132e1b8daf355e0b7e140ec8064a4e",
         "qcs-pairwise/manifest.json":
-            "2e2aae0335651766277f80b9a881723076b27654c81e6b61d61b22e9d27d5b79",
+            "614cb9ef76c71ace8fc6625e20a6f626d806b8cb0c026117940c484681a6a6d3",
+        "qcs-shuffle/results.csv":
+            "711992b0d67a344cf8df7be776d78d3633781cc44170e31403666cb8fe3d541a",
+        "qcs-shuffle/summary.json":
+            "50faafffe39068e6ab107a6f956331fed8ccb453b52585fa16126a4085e63764",
+        "qcs-shuffle/manifest.json":
+            "13e2981368b04cf1af7fb4027e8aec6121c70feecdc960d236a94aa84265f457",
         "sweep/sweep.csv":
             "0c8e558cbeab6b4372075c8e9d46c63c9c2a556bc4d1fe348c3594fdce7e3284",
         "sweep/summary.json":
             "df3b4a86b41e8560dbc07cbc6a7af6a11a1e924f167960c1386242245654f2e9",
         "sweep/manifest.json":
-            "8c860f2c0e9200a79e9966cce2dbdc452c7c142eb65b8622d67640ecd0ab4cc2",
+            "910c657000a096b49c164272b64cf412f3715907d78606c629821542e3773c50",
         "syntonize/results.csv":
             "3c05ef1467b5b585f339e2556b7432d4f7d59f650789b28283645c71385d3a07",
         "syntonize/summary.json":
             "9aa2ed7a666df81991a4be4029ed225b68f717c8d5ea611fc4c207842542a0e1",
         "syntonize/manifest.json":
-            "a118b1776a5c7defd2c1826fcb2961b1b1aad163cb0b076af737ffe04262856b",
+            "98f0fbd84f1deff50c5a6bc8de3a7cfe7a4dd645e44bfa40a591ce2070740864",
+        "syntonize-shuffle/results.csv":
+            "b50a70272ab67c7769bf3ba56a1825d86f138cd8a41a529ee8069940510f4c11",
+        "syntonize-shuffle/summary.json":
+            "fa038009642c039a476576a0b833f7dab0990310621dd5e933c91964a8ef423c",
+        "syntonize-shuffle/manifest.json":
+            "e790263fa06d192f7a7ff257704d652bb6585ce6eae63a1429ce50222e240bbb",
     },
 }
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcs_sim import ConfigError, run_experiment
+from qcs_sim import ConfigError, Protocol, run_experiment, run_trials
 from qcs_sim.cli import main
 from qcs_sim.harness import apply_sweep_value, config_sha256
 
@@ -131,6 +131,16 @@ def test_trials_floor(tmp_path):
     cfg = one_species(ensemble_size=5000)
     with pytest.raises(ConfigError, match="trials"):
         run_experiment("qcs", cfg, tmp_path / "x", trials=0)
+
+
+@pytest.mark.parametrize("field", ("seed", "trials"))
+def test_library_entry_points_reject_non_integral_seed_and_trials(tmp_path, field):
+    cfg = one_species(ensemble_size=5000)
+    with pytest.raises(ConfigError, match=field):
+        run_experiment("qcs", cfg, tmp_path / "x", **{"seed": 1, "trials": 2, field: 2.7})
+    with pytest.raises(ConfigError, match=field):
+        run_trials(Protocol.QCS_BASIC, cfg, **{"seed": 2, "trials": 1, field: 1.5})
+    assert len(run_trials(Protocol.QCS_BASIC, cfg, seed=2.0, trials=3.0)) == 3
 
 
 # -- CLI ------------------------------------------------------------------------

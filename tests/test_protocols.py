@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from scipy import stats
 
 from qcs_sim import (
     AmbiguityError,
+    BasisPhase,
+    EquatorialState,
     compare_equivalence,
     esct_transfer,
     run_esct,
@@ -15,8 +18,10 @@ from qcs_sim import (
     run_trials,
     trial_stream,
 )
+from qcs_sim import protocols
 from qcs_sim.protocols import Protocol
 
+from pairwise_oracle import kept_good_flags, pairwise_counts, shuffled_type_lists
 from scenarios import OMEGA_CS, OMEGA_RB, matched_compare, one_species, syntonize, two_species
 
 NOISELESS_EPOCH = {"a_start": 0.0, "b_measure": [1e-3]}
@@ -95,18 +100,108 @@ def test_same_seed_same_config_is_deterministic():
     assert c != a
 
 
-def test_fast_and_pairwise_sampling_agree_in_distribution():
-    # a 1e-30 rad per-pair jitter forces the per-pair code path while leaving
-    # the physics untouched; the two paths must then sample the same law
-    cfg_fast = one_species(ensemble_size=2000, clock_b={"x0": 3e-8, "delta_by_species": {"cs": 0.0}})
-    cfg_pair = one_species(
-        ensemble_size=2000,
-        clock_b={"x0": 3e-8, "delta_by_species": {"cs": 0.0}},
-        transport={"sigma_pair": 1e-30, "beta_by_species": {"cs": 0.0}},
+# -- the count sampler against the per-pair oracle ------------------------------
+#
+# Good pairs sit at phase 1 rad and are read in bases at 0 and pi/2, so they
+# read pos with probability cos(phase/2)**2 at phase0 = 1, phase1 = 1 - pi/2.
+
+ORACLE_N = 1000
+ORACLE_TRIALS = 2000
+ORACLE_PHASES = (1.0, 1.0 - 0.5 * math.pi)
+ORACLE_CASES = {
+    "honest": {},
+    "shuffle": {"shuffle": True},
+    "shuffle+type_i": {"shuffle": True, "use_type_i": True},
+    "sigma_pair+type_i": {"sigma_pair": 0.5, "use_type_i": True},
+    "shuffle+sigma_pair+type_i": {"shuffle": True, "sigma_pair": 0.5, "use_type_i": True},
+    "syntonize_halves+shuffle": {"shuffle": True, "halves": True},
+}
+
+
+def _production_counts(cfg, sizes, rng):
+    """(n0, k0, n1, k1) per sub-ensemble from the simulator's count sampler."""
+    state, basis = EquatorialState(ORACLE_PHASES[0]), BasisPhase(0.0)
+    records = [protocols._measure_quadratures(cfg, state, blocks, basis, "cs", 0.0, rng)
+               for blocks in protocols._kept_lists(cfg, sizes, rng)]
+    return [(r0.n, r0.k_pos, r1.n, r1.k_pos) for r0, r1 in records]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_counts_match_pairwise_oracle(case):
+    flags = dict(ORACLE_CASES[case])
+    half = ORACLE_N // 2
+    sizes = (half, ORACLE_N - half) if flags.pop("halves", False) else (ORACLE_N,)
+    cfg = one_species(
+        transport={"beta_by_species": {"cs": 0.0}, "sigma_pair": flags.get("sigma_pair", 0.0)},
+        shuffle_type_list=flags.get("shuffle", False),
+        use_type_i=flags.get("use_type_i", False),
     )
-    fast = [r.error["time_offset"] for r in run_trials(Protocol.QCS_BASIC, cfg_fast, 21, 400)]
-    pair = [r.error["time_offset"] for r in run_trials(Protocol.QCS_BASIC, cfg_pair, 22, 400)]
-    assert stats.ks_2samp(fast, pair).pvalue > 0.01
+    rng = np.random.default_rng(21)
+    got = [_production_counts(cfg, sizes, rng) for _ in range(ORACLE_TRIALS)]
+    rng = np.random.default_rng(22)
+    want = [pairwise_counts(rng, sizes, *ORACLE_PHASES, **flags) for _ in range(ORACLE_TRIALS)]
+    for h in range(len(sizes)):
+        got_h = np.array([g[h] for g in got], dtype=float)
+        want_h = np.array([w[h] for w in want], dtype=float)
+        for name, col in (("k0", lambda c: c[:, 1]), ("k1", lambda c: c[:, 3]),
+                          ("k0-k1", lambda c: c[:, 1] - c[:, 3])):
+            p = stats.ks_2samp(col(got_h), col(want_h)).pvalue
+            assert p > 0.001, f"sub-ensemble {h}, {name}: KS p = {p:.2g}"
+
+
+def _chi2_against_exact(samples, exact):
+    """Chi-square of sampled outcomes against exact probabilities (sparse cells pooled)."""
+    assert set(samples) <= set(exact), set(samples) - set(exact)
+    n = len(samples)
+    observed = Counter(samples)
+    big = [k for k, p in exact.items() if n * p >= 5]
+    f_obs = [observed[k] for k in big] + [n - sum(observed[k] for k in big)]
+    f_exp = [n * exact[k] for k in big] + [n * (1.0 - sum(exact[k] for k in big))]
+    if f_exp[-1] < 5:
+        f_obs[-2:] = [f_obs[-2] + f_obs[-1]]
+        f_exp[-2:] = [f_exp[-2] + f_exp[-1]]
+    return stats.chisquare(f_obs, f_exp).pvalue
+
+
+def test_shuffled_blocks_match_exact_enumeration():
+    # per half: (announced II and truly II, announced II and truly I,
+    #            announced I and truly I, announced I and truly II)
+    sizes = (2, 3)
+    exact = Counter()
+    for type_i, announced, prob in shuffled_type_lists(sum(sizes)):
+        key, start = [], 0
+        for size in sizes:
+            cells = Counter(zip(announced[start:start + size], type_i[start:start + size]))
+            key.append((cells[False, False], cells[False, True],
+                        cells[True, True], cells[True, False]))
+            start += size
+        exact[tuple(key)] += prob
+    cfg = one_species(shuffle_type_list=True, use_type_i=True)
+    rng = np.random.default_rng(25)
+    samples = []
+    for _ in range(10_000):
+        lists = protocols._kept_lists(cfg, sizes, rng)
+        samples.append(tuple((g1, b1, g2, b2) for (g1, b1), (g2, b2) in lists))
+    assert _chi2_against_exact(samples, exact) > 0.001
+
+
+@pytest.mark.parametrize("use_type_i", (False, True))
+def test_quadrature_split_matches_exact_enumeration(use_type_i):
+    # (kept pairs, good pairs read in basis 0, good pairs kept)
+    n = 6
+    exact = Counter()
+    for type_i, announced, prob in shuffled_type_lists(n):
+        (good,) = kept_good_flags(type_i, announced, (n,), use_type_i)
+        exact[len(good), sum(good[:len(good) // 2]), sum(good)] += prob
+    cfg = one_species(shuffle_type_list=True, use_type_i=use_type_i)
+    rng = np.random.default_rng(26)
+    samples = []
+    for _ in range(10_000):
+        (blocks,) = protocols._kept_lists(cfg, (n,), rng)
+        n_kept = sum(g + b for g, b in blocks)
+        g0, g1 = protocols._split_good(blocks, n_kept // 2, rng)
+        samples.append((n_kept, g0, g0 + g1))
+    assert _chi2_against_exact(samples, exact) > 0.001
 
 
 def test_shuffled_type_list_destroys_synchronization():

@@ -32,8 +32,7 @@ class FakeRng:
     def __init__(self, *values):
         self._values = list(values)
 
-    def random(self, size=None):
-        assert size is None
+    def random(self):
         return self._values.pop(0)
 
 
@@ -198,16 +197,6 @@ def test_singlet_anticorrelation_in_any_common_basis():
         # probability that B's outcome matches A's in the same basis
         p_match = prob_pos(out.state_b, basis) if out.type_i else prob_neg(out.state_b, basis)
         assert p_match < 1e-12
-
-
-def test_collapse_type_fractions_binomial():
-    rng = np.random.default_rng(9)
-    n = 100_000
-    out = collapse_singlet(BasisPhase(0.7), rng, size=n)
-    frac = np.mean(out.type_i)
-    assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
-    assert np.all(np.isin(np.round(out.state_b.theta, 12),
-                          np.round([0.7, canonicalize(0.7 + math.pi)], 12)))
 
 
 # -- two-pulse fringe -----------------------------------------------------------
