@@ -37,17 +37,15 @@ from .protocols import (
 )
 from .quantum import (
     BasisPhase,
-    CollapseOutcome,
     EquatorialState,
     Frequency,
     canonicalize,
-    collapse_singlet,
     evolve,
     imprint_phase,
     prob_pos,
 )
 from .rng import RNG_ALGORITHM, trial_stream
-from .transport import TransportModel, apply_transport, transport_phase
+from .transport import TransportModel, transport_phase
 
 __version__ = "0.1.0"
 
@@ -56,7 +54,6 @@ __all__ = [
     "BasisPhase",
     "ClockModel",
     "ClockTrip",
-    "CollapseOutcome",
     "ConfigError",
     "DegenerateCountsError",
     "Epochs",
@@ -73,10 +70,8 @@ __all__ = [
     "ScenarioConfig",
     "TransportModel",
     "TrialResult",
-    "apply_transport",
     "basis_for",
     "canonicalize",
-    "collapse_singlet",
     "compare_equivalence",
     "esct_transfer",
     "estimate_phase",

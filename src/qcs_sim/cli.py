@@ -1,12 +1,13 @@
 """Command line interface.
 
     qcs-sim <subcommand> --config <path> --out <dir> [--seed S] [--trials N]
-                         [--sweep-param NAME --sweep-values V1,V2,...]
+    qcs-sim sweep --protocol P --config <path> --out <dir> [--seed S] [--trials N]
+                  --sweep-param NAME --sweep-values V1,V2,...
 
-Subcommands: qcs, beat, syntonize, esct, compare, sweep. The sweep subcommand
-additionally takes --protocol to choose what runs at each grid point; sweep
-flags on a protocol subcommand are an equivalent spelling. --seed/--trials
-override the values stored in the config file.
+Subcommands: qcs, beat, syntonize, esct, compare, sweep. Only the sweep
+subcommand takes --protocol, to choose what runs at each grid point, and the
+--sweep-param/--sweep-values grid. --seed/--trials override the values stored
+in the config file.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 runtime error.
 """
@@ -40,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="u64 seed (overrides config)")
         p.add_argument("--trials", type=int, default=None, help="trial count (overrides config)")
-        p.add_argument("--sweep-param", default=None, help="parameter path to sweep")
-        p.add_argument("--sweep-values", default=None, help="comma-separated grid values")
         if name == "sweep":
+            p.add_argument("--sweep-param", default=None, help="parameter path to sweep")
+            p.add_argument("--sweep-values", default=None, help="comma-separated grid values")
             p.add_argument(
                 "--protocol", default=None, choices=SWEEP_PROTOCOLS,
                 help="protocol to run at each grid point",
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        values = _parse_values(args.sweep_values) if args.sweep_values else None
+        values = getattr(args, "sweep_values", None)
         summary = run_experiment(
             args.subcommand,
             cfg,
@@ -62,8 +63,8 @@ def main(argv=None) -> int:
             seed=args.seed,
             trials=args.trials,
             protocol=getattr(args, "protocol", None),
-            sweep_param=args.sweep_param,
-            sweep_values=values,
+            sweep_param=getattr(args, "sweep_param", None),
+            sweep_values=_parse_values(values) if values else None,
         )
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AmbiguityError, DegenerateCountsError, InsufficientSamplesError
 from .quantum import TWO_PI, BasisPhase, Frequency, canonicalize
 
@@ -27,10 +25,9 @@ MIN_SAMPLES = 100
 _DEGENERATE_R2_SCALE = 1e-6
 
 
-def wrap_pi(x):
-    """Wrap an angle (scalar or array) to (-pi, pi]."""
-    w = math.pi - np.mod(math.pi - np.asarray(x, dtype=float), TWO_PI)
-    return float(w) if np.ndim(x) == 0 else w
+def wrap_pi(x: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    return math.pi - (math.pi - x) % TWO_PI
 
 
 @dataclass(frozen=True)

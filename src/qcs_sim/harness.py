@@ -298,7 +298,9 @@ def run_experiment(
 ) -> dict:
     """Execute one subcommand and write results/summary/manifest to out_dir.
 
-    Returns the summary record. Raises ConfigError/ValueError for invalid
+    `protocol`, `sweep_param` and `sweep_values` belong to the sweep
+    subcommand; any other subcommand given one raises a ConfigError naming
+    it. Returns the summary record. Raises ConfigError/ValueError for invalid
     configurations or arguments (CLI exit 2) and lets I/O errors propagate
     (CLI exit 3).
     """
@@ -315,11 +317,10 @@ def run_experiment(
         if not sweep_param or not sweep_values:
             raise ConfigError("sweep requires --sweep-param and --sweep-values")
         return run_sweep(protocol, cfg, seed, trials, out_dir, sweep_param, list(sweep_values))
-    if sweep_param or sweep_values:
-        # sweep flags on a protocol subcommand reroute to the sweep runner
-        if not sweep_param or not sweep_values:
-            raise ConfigError("--sweep-param and --sweep-values must be given together")
-        return run_sweep(subcommand, cfg, seed, trials, out_dir, sweep_param, list(sweep_values))
+    sweep_args = {"protocol": protocol, "sweep_param": sweep_param, "sweep_values": sweep_values}
+    for name, value in sweep_args.items():
+        if value is not None:
+            raise ConfigError(f"{name} is a sweep argument; {subcommand!r} takes no {name}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

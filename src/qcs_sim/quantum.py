@@ -8,35 +8,30 @@ by -omega*tau. The pi/2 preparation/readout pulses are not separate operations
 here: preparation is "states start equatorial" and readout is `prob_pos`, which
 folds the second pulse and the detector into one projection probability.
 
-Scalars and ndarrays are handled uniformly: an `EquatorialState` whose theta is
-an array represents one state per pair of an ensemble, and every operation
-applies elementwise. The full two-complex-amplitude representation exists only
-in the test oracle, never here; keeping a single angle makes normalization and
-range invariants exact.
+Every state here is one pair's state and every angle a Python float. The
+simulator never holds an ensemble of states: B's kept pairs share one common
+phase per trial, and the count sampler in `protocols` turns that phase into
+counts. The full two-complex-amplitude representation exists only in the test
+oracle, never here; keeping a single angle makes normalization and range
+invariants exact.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 
-def canonicalize(theta):
-    """Reduce an angle (scalar or array) to the canonical range [0, 2*pi).
+def canonicalize(theta: float) -> float:
+    """Reduce an angle to the canonical range [0, 2*pi).
 
     Floor-based modular reduction; values that round up to exactly 2*pi
     (e.g. tiny negative inputs) are folded back to 0 so the half-open
     range holds bit-exactly.
     """
-    t = np.mod(theta, TWO_PI)
-    if np.ndim(t) == 0:
-        t = float(t)
-        return t - TWO_PI if t >= TWO_PI else t
-    t[t >= TWO_PI] -= TWO_PI
-    return t
+    t = theta % TWO_PI
+    return t - TWO_PI if t >= TWO_PI else t
 
 
 @dataclass(frozen=True)
@@ -54,26 +49,18 @@ class Frequency:
 class EquatorialState:
     """Equal-weight superposition with relative phase theta in [0, 2*pi).
 
-    theta may be a float (one state) or an ndarray (one state per pair of an
-    ensemble). The constructor canonicalizes, so the range invariant holds
-    after every operation.
+    theta is one float; anything `float()` rejects, such as an array of
+    several angles, raises TypeError. The constructor canonicalizes, so the
+    range invariant holds after every operation.
     """
 
-    theta: float | np.ndarray
+    theta: float
 
     def __post_init__(self):
-        th = self.theta
-        if not np.all(np.isfinite(th)):
+        th = float(self.theta)
+        if not math.isfinite(th):
             raise ValueError("theta must be finite")
-        if np.ndim(th) == 0:
-            th = float(th)
-        else:
-            th = np.asarray(th, dtype=float)
         object.__setattr__(self, "theta", canonicalize(th))
-
-    @property
-    def size(self):
-        return int(np.size(self.theta))
 
 
 @dataclass(frozen=True)
@@ -118,22 +105,17 @@ def evolve(state: EquatorialState, freq: Frequency, tau) -> EquatorialState:
     return EquatorialState(state.theta - freq.omega * tau)
 
 
-def imprint_phase(state: EquatorialState, phi) -> EquatorialState:
-    """Add a classical phase shift phi to the state (elementwise for arrays)."""
-    if not np.all(np.isfinite(phi)):
+def imprint_phase(state: EquatorialState, phi: float) -> EquatorialState:
+    """Add a classical phase shift phi to the state."""
+    if not math.isfinite(phi):
         raise ValueError("phi must be finite")
     return EquatorialState(state.theta + phi)
 
 
-def prob_pos(state: EquatorialState, basis: BasisPhase):
-    """Probability of the pos-type outcome: cos((theta - delta) / 2)**2.
-
-    Returns a float for scalar states, an ndarray for ensemble states.
-    Always in [0, 1].
-    """
-    c = np.cos(0.5 * (state.theta - basis.delta))
-    p = c * c
-    return float(p) if np.ndim(p) == 0 else p
+def prob_pos(state: EquatorialState, basis: BasisPhase) -> float:
+    """Probability of the pos-type outcome: cos((theta - delta) / 2)**2, in [0, 1]."""
+    c = math.cos(0.5 * (state.theta - basis.delta))
+    return c * c
 
 
 def collapse_singlet(basis_a: BasisPhase, rng) -> CollapseOutcome:
@@ -144,7 +126,7 @@ def collapse_singlet(basis_a: BasisPhase, rng) -> CollapseOutcome:
     outcome leaves B in the neg-type state (theta = delta + pi), a type II
     outcome leaves B in the pos-type state (theta = delta).
 
-    `rng` is an owned numpy Generator; one uniform is consumed.
+    `rng` is an owned Generator (see `rng.trial_stream`); one uniform is consumed.
     """
     type_i = bool(rng.random() < 0.5)
     theta_b = basis_a.delta + (math.pi if type_i else 0.0)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .errors import ConfigError
 from .quantum import EquatorialState, Frequency, imprint_phase
 
@@ -76,24 +74,23 @@ def transport_phase(model: TransportModel, species: str, freq: Frequency, rng=No
 
 
 def apply_transport(
-    states: EquatorialState,
+    state: EquatorialState,
     model: TransportModel,
     species: str,
     freq: Frequency,
     rng=None,
 ):
-    """Imprint transport phases on a whole ensemble of B-side states.
+    """Imprint the transport phase on one B-side pair.
 
-    One common-mode phase is drawn for the ensemble and each pair receives an
-    independent jitter on top; the states are shifted via `imprint_phase`.
-    Returns (transported_states, phi_common) with phi_common unreduced, so the
-    trial log can expose the drawn value for oracle checks.
+    The pair receives phi_common plus, when sigma_pair > 0, its own Gaussian
+    jitter; the state is shifted via `imprint_phase`. Like `collapse_singlet`
+    this describes one pair: the protocols never move pairs one by one, they
+    draw counts from phi_common and the sigma_pair contrast.
+    Returns (transported_state, phi_common) with phi_common unreduced.
     """
-    if states.size == 0:
-        raise ValueError("ensemble must be non-empty")
     phi = phi_common = transport_phase(model, species, freq, rng)
     if model.sigma_pair > 0.0:
         if rng is None:
             raise ValueError("rng required when sigma_pair > 0")
-        phi = phi_common + model.sigma_pair * rng.standard_normal(np.shape(states.theta))
-    return imprint_phase(states, phi), phi_common
+        phi = phi_common + model.sigma_pair * rng.standard_normal()
+    return imprint_phase(state, phi), phi_common

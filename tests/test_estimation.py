@@ -52,8 +52,8 @@ def test_wrap_pi_range_and_edges():
     assert wrap_pi(3 * math.pi) == math.pi
     assert abs(wrap_pi(0.1) - 0.1) < 1e-15
     rng = np.random.default_rng(2)
-    vals = wrap_pi(rng.uniform(-100, 100, 5000))
-    assert np.all((vals > -math.pi) & (vals <= math.pi))
+    for x in rng.uniform(-100, 100, 5000).tolist():
+        assert -math.pi < wrap_pi(x) <= math.pi
 
 
 # -- record validation -------------------------------------------------------------

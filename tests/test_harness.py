@@ -81,19 +81,36 @@ def test_sweep_emits_bias_table(tmp_path):
     assert len(text) == 5  # units comment + header + 3 points
 
 
-def test_sweep_flags_on_protocol_subcommand(tmp_path):
+def test_sweep_flags_on_protocol_subcommand(tmp_path, capsys):
+    # one way to sweep: the grid belongs to the sweep subcommand only
     cfg = one_species(
         epochs={"a_start": 0.0, "b_measure": [1e-3]}, noiseless=True, trials=1
     )
-    a = run_experiment(
-        "qcs", cfg, tmp_path / "a", seed=1,
-        sweep_param="transport.alpha", sweep_values=[0.0, 1e-9],
-    )
-    b = run_experiment(
-        "sweep", cfg, tmp_path / "b", seed=1, protocol="qcs",
-        sweep_param="transport.alpha", sweep_values=[0.0, 1e-9],
-    )
-    assert a["points"] == b["points"]
+    with pytest.raises(ConfigError, match="sweep_param"):
+        run_experiment(
+            "qcs", cfg, tmp_path / "a", seed=1,
+            sweep_param="transport.alpha", sweep_values=[0.0, 1e-9],
+        )
+    assert not (tmp_path / "a").exists()
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["qcs", "--config", str(path), "--out", str(tmp_path / "b"),
+              "--sweep-param", "transport.alpha", "--sweep-values", "0,1e-9"])
+    assert exc.value.code == 2
+    assert "--sweep-param" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("subcommand, name, value", [
+    ("qcs", "protocol", "beat"),
+    ("compare", "sweep_param", "transport.alpha"),
+    ("esct", "sweep_values", [0.0, 1e-9]),
+])
+def test_protocol_subcommand_rejects_each_sweep_argument(tmp_path, subcommand, name, value):
+    cfg = one_species(ensemble_size=5000, trials=2)
+    with pytest.raises(ConfigError, match=name):
+        run_experiment(subcommand, cfg, tmp_path / "run", **{name: value})
+    assert not (tmp_path / "run").exists()
 
 
 def test_matched_jitter_pseudo_parameter():

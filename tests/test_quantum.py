@@ -8,11 +8,11 @@ from qcs_sim import (
     EquatorialState,
     Frequency,
     canonicalize,
-    collapse_singlet,
     evolve,
     imprint_phase,
     prob_pos,
 )
+from qcs_sim.quantum import collapse_singlet
 
 from amplitude_oracle import (
     circular_diff,
@@ -41,9 +41,9 @@ class FakeRng:
 
 def test_canonicalize_range_over_random_inputs():
     rng = np.random.default_rng(7)
-    thetas = rng.uniform(-1e7, 1e7, 20_000)
-    out = canonicalize(thetas)
-    assert np.all((out >= 0.0) & (out < TWO_PI))
+    for theta in rng.uniform(-1e7, 1e7, 20_000).tolist():
+        out = canonicalize(theta)
+        assert 0.0 <= out < TWO_PI
 
 
 def test_canonicalize_edge_cases():
@@ -60,6 +60,11 @@ def test_state_theta_is_always_canonical():
     assert 0.0 <= s.theta < TWO_PI
     s = imprint_phase(EquatorialState(5.5), 1.5)
     assert math.isclose(s.theta, 5.5 + 1.5 - TWO_PI, rel_tol=1e-15)
+
+
+def test_state_holds_one_angle_not_an_ensemble():
+    with pytest.raises(TypeError):
+        EquatorialState(np.zeros(4))
 
 
 # -- evolution ----------------------------------------------------------------
@@ -124,10 +129,9 @@ def test_imprint_rejects_non_finite():
         imprint_phase(POS, math.inf)
 
 
-def test_imprint_elementwise_on_ensembles():
-    s = EquatorialState(np.zeros(4))
-    out = imprint_phase(s, np.array([0.0, 1.0, -1.0, 7.0]))
-    assert np.allclose(out.theta, [0.0, 1.0, TWO_PI - 1.0, 7.0 - TWO_PI])
+def test_imprint_wraps_each_phi_into_range():
+    thetas = [imprint_phase(POS, phi).theta for phi in (0.0, 1.0, -1.0, 7.0)]
+    assert np.allclose(thetas, [0.0, 1.0, TWO_PI - 1.0, 7.0 - TWO_PI])
 
 
 # -- measurement probabilities -------------------------------------------------

@@ -9,10 +9,11 @@ from qcs_sim import (
     EquatorialState,
     Frequency,
     TransportModel,
-    apply_transport,
+    canonicalize,
     esct_transfer,
     transport_phase,
 )
+from qcs_sim.transport import apply_transport
 
 TWO_PI = 2 * math.pi
 
@@ -20,8 +21,9 @@ TWO_PI = 2 * math.pi
 def test_perfect_transport_imprints_nothing():
     m = TransportModel(beta_by_species={"cs": 0.0})
     assert transport_phase(m, "cs", Frequency(1e9)) == 0.0
-    states, phi = apply_transport(EquatorialState(np.zeros(100)), m, "cs", Frequency(1e9))
-    assert phi == 0.0 and np.all(states.theta == 0.0)
+    for _ in range(100):
+        state, phi = apply_transport(EquatorialState(0.0), m, "cs", Frequency(1e9))
+        assert phi == 0.0 and state.theta == 0.0
 
 
 def test_deterministic_phase_closed_form():
@@ -68,11 +70,12 @@ def test_matched_trip_and_transport_imply_equal_time_error():
 def test_apply_transport_uniform_shift_when_noiseless():
     m = TransportModel(alpha=1e-8, beta_by_species={"cs": 0.3})
     f = Frequency(TWO_PI * 1e6)
-    thetas = np.linspace(0, 6.0, 1000)
-    states, phi_common = apply_transport(EquatorialState(thetas), m, "cs", f)
     expected = 1e-8 * f.omega + 0.3
-    assert phi_common == expected
-    shifts = np.mod(states.theta - thetas, TWO_PI)
+    shifts = []
+    for theta in np.linspace(0, 6.0, 1000).tolist():
+        state, phi_common = apply_transport(EquatorialState(theta), m, "cs", f)
+        assert phi_common == expected
+        shifts.append((state.theta - theta) % TWO_PI)
     assert np.allclose(shifts, expected % TWO_PI, atol=1e-9)
 
 
@@ -81,9 +84,10 @@ def test_apply_transport_pair_jitter_std():
     f = Frequency(TWO_PI * 1e6)
     rng = np.random.default_rng(17)
     n = 100_000
-    states, _ = apply_transport(EquatorialState(np.zeros(n)), m, "cs", f, rng)
+    thetas = np.array([apply_transport(EquatorialState(0.0), m, "cs", f, rng)[0].theta
+                       for _ in range(n)])
     # all imprinted phases stay tiny, so no wrap correction is needed
-    centered = np.where(states.theta > math.pi, states.theta - TWO_PI, states.theta)
+    centered = np.where(thetas > math.pi, thetas - TWO_PI, thetas)
     assert abs(centered.std(ddof=1) / 0.05 - 1.0) < 0.05
 
 
@@ -91,14 +95,10 @@ def test_apply_transport_common_mode_is_shared():
     m = TransportModel(sigma_common=0.2, beta_by_species={"cs": 0.0})
     f = Frequency(TWO_PI * 1e6)
     rng = np.random.default_rng(23)
-    states, phi_common = apply_transport(EquatorialState(np.zeros(50)), m, "cs", f, rng)
-    assert np.allclose(states.theta, phi_common % TWO_PI)
-
-
-def test_empty_ensemble_rejected():
-    m = TransportModel(beta_by_species={"cs": 0.0})
-    with pytest.raises(ValueError):
-        apply_transport(EquatorialState(np.zeros(0)), m, "cs", Frequency(1.0))
+    for _ in range(50):
+        # sigma_pair = 0: the pair carries exactly the common-mode phase
+        state, phi_common = apply_transport(EquatorialState(0.0), m, "cs", f, rng)
+        assert state.theta == canonicalize(phi_common)
 
 
 def test_unknown_species_is_config_error():
