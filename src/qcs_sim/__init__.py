@@ -8,7 +8,7 @@ quantitative: with matched disturbance models, the phase a transported qubit
 picks up makes the entangled protocol's time error match the transported
 clock's, so the schemes are equivalent up to estimation noise.
 """
-from .clocks import ClockModel, ClockTrip, basis_for, esct_transfer, read, trigger_time
+from .clocks import ClockModel, ClockTrip
 from .config import Epochs, ScenarioConfig, load_config
 from .errors import (
     AmbiguityError,
@@ -17,15 +17,7 @@ from .errors import (
     InsufficientSamplesError,
     QcsSimError,
 )
-from .estimation import (
-    MeasurementRecord,
-    PhaseEstimate,
-    RateEstimate,
-    estimate_phase,
-    estimate_rate,
-    wrap_pi,
-)
-from .harness import RunManifest, compare_equivalence, run_experiment
+from .harness import compare_equivalence, run_experiment
 from .protocols import (
     Protocol,
     TrialResult,
@@ -35,17 +27,9 @@ from .protocols import (
     run_qcs_syntonize,
     run_trials,
 )
-from .quantum import (
-    BasisPhase,
-    EquatorialState,
-    Frequency,
-    canonicalize,
-    evolve,
-    imprint_phase,
-    prob_pos,
-)
-from .rng import RNG_ALGORITHM, trial_stream
-from .transport import TransportModel, transport_phase
+from .quantum import BasisPhase, Frequency
+from .rng import trial_stream
+from .transport import TransportModel
 
 __version__ = "0.1.0"
 
@@ -57,38 +41,20 @@ __all__ = [
     "ConfigError",
     "DegenerateCountsError",
     "Epochs",
-    "EquatorialState",
     "Frequency",
     "InsufficientSamplesError",
-    "MeasurementRecord",
-    "PhaseEstimate",
     "Protocol",
     "QcsSimError",
-    "RNG_ALGORITHM",
-    "RateEstimate",
-    "RunManifest",
     "ScenarioConfig",
     "TransportModel",
     "TrialResult",
-    "basis_for",
-    "canonicalize",
     "compare_equivalence",
-    "esct_transfer",
-    "estimate_phase",
-    "estimate_rate",
-    "evolve",
-    "imprint_phase",
     "load_config",
-    "prob_pos",
-    "read",
     "run_esct",
     "run_experiment",
     "run_qcs_basic",
     "run_qcs_beat",
     "run_qcs_syntonize",
     "run_trials",
-    "transport_phase",
     "trial_stream",
-    "trigger_time",
-    "wrap_pi",
 ]

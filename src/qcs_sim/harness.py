@@ -12,6 +12,9 @@ Outputs per run directory:
 
 Sweeps vary one named parameter over a grid and emit sweep.csv instead of
 results.csv: one plot-ready row per grid point.
+
+Files are written only after every trial of a run has succeeded: a run that
+fails, say on a config its protocol rejects, creates no output directory.
 """
 from __future__ import annotations
 
@@ -42,12 +45,6 @@ _UNITS_COMMENT = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def config_sha256(cfg: ScenarioConfig) -> str:
     canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -62,19 +59,25 @@ def _ordered_union(results, group):
     return keys
 
 
+def _write_csv(path, header, rows):
+    """The units comment, the header, then one line per row of values.
+
+    None is an empty cell and floats carry 17 significant digits.
+    """
+    lines = [_UNITS_COMMENT, ",".join(header)]
+    lines += [",".join(["" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
+                        for v in row]) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_results_csv(path, results):
     """One row per trial, merged in trial_id order."""
     groups = ("truth", "estimate", "error", "diagnostics")
     columns = [(g, k) for g in groups for k in _ordered_union(results, g)]
     header = ["trial_id", "protocol"] + [f"{g}_{k}" for g, k in columns]
-    lines = [_UNITS_COMMENT, ",".join(header)]
-    for r in results:
-        row = [str(r.trial_id), r.protocol.value]
-        for g, k in columns:
-            value = getattr(r, g).get(k)
-            row.append("" if value is None else _fmt(value))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ([r.trial_id, r.protocol.value, *[getattr(r, g).get(k) for g, k in columns]]
+            for r in results)
+    _write_csv(path, header, rows)
 
 
 def _stats(values) -> dict:
@@ -126,25 +129,22 @@ def _require_matched_models(cfg: ScenarioConfig):
         )
 
 
-def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None,
-                        keep_trials: bool = False) -> dict:
-    """Head-to-head RMS time error of the entangled protocol vs. the clock trip.
+def _run(name: str, cfg: ScenarioConfig, seed, trials) -> tuple[list, dict]:
+    """Run one protocol, or the compare pairing, and return (results, summary).
 
-    Requires matched models (trip.alpha = transport.alpha and trip.jitter =
-    sigma_common/omega): then the two protocols face the same disturbance and
-    the entangled one differs only by its binomial estimation floor, which is
-    reported separately.
+    For compare, results holds the qcs lane's trials, then the esct lane's.
     """
+    if name != "compare":
+        results = run_trials(Protocol(name), cfg, seed, trials)
+        return results, summarize_trials(results)
     require_count("compare", "configured species", len(cfg.species), 1)
     _require_matched_models(cfg)
-
     qcs = run_trials(Protocol.QCS_BASIC, cfg, seed, trials, lane=LANE_PRIMARY)
     esct = run_trials(Protocol.ESCT_BASELINE, cfg, seed, trials, lane=LANE_BASELINE)
-
     stats_qcs = _stats([r.error["time_offset"] for r in qcs])
     stats_esct = _stats([r.error["time_offset"] for r in esct])
     rms_esct = stats_esct["rms"]
-    summary = {
+    return qcs + esct, {
         "trials": len(qcs),
         "rms_qcs": stats_qcs["rms"],
         "rms_esct": rms_esct,
@@ -154,10 +154,17 @@ def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None,
         "qcs_estimator_floor": _stats([r.diagnostics["sigma_time"] for r in qcs])["rms"],
         "esct_floor": 0.0,
     }
-    if keep_trials:
-        summary["trials_qcs"] = qcs
-        summary["trials_esct"] = esct
-    return summary
+
+
+def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None) -> dict:
+    """Head-to-head RMS time error of the entangled protocol vs. the clock trip.
+
+    Requires matched models (trip.alpha = transport.alpha and trip.jitter =
+    sigma_common/omega): then the two protocols face the same disturbance and
+    the entangled one differs only by its binomial estimation floor, which is
+    reported separately.
+    """
+    return _run("compare", cfg, seed, trials)[1]
 
 
 def _write_json(path, payload):
@@ -178,20 +185,6 @@ class RunManifest:
     artifact_version: str = ARTIFACT_VERSION
     rng_algorithm: str = RNG_ALGORITHM
     sweep: dict | None = field(default=None)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _manifest(subcommand, cfg, seed, trials_by_protocol, outputs, sweep=None) -> RunManifest:
-    return RunManifest(
-        subcommand=subcommand,
-        config_sha256=config_sha256(cfg),
-        seed=seed,
-        trials=trials_by_protocol,
-        outputs=outputs,
-        sweep=sweep,
-    )
 
 
 # -- sweep parameter plumbing ------------------------------------------------
@@ -238,48 +231,32 @@ def run_sweep(protocol_name, cfg, seed, trials, out_dir, param, values) -> dict:
     """Run one protocol per grid point; emit a plot-ready table."""
     rows = []
     for value in values:
-        cfg_v = apply_sweep_value(cfg, param, value)
+        _, summary = _run(protocol_name, apply_sweep_value(cfg, param, value), seed, trials)
         if protocol_name == "compare":
-            summary = compare_equivalence(cfg_v, seed=seed, trials=trials)
-            rows.append({
-                "param": param,
-                "value": value,
-                "trials": summary["trials"],
-                "rms_qcs": summary["rms_qcs"],
-                "rms_esct": summary["rms_esct"],
-                "ratio": summary["ratio"],
-            })
+            point = {k: summary[k] for k in ("rms_qcs", "rms_esct", "ratio")}
         else:
-            protocol = Protocol(protocol_name)
-            results = run_trials(protocol, cfg_v, seed, trials)
-            key = protocol.error_key
-            stats = summarize_trials(results)["metrics"][key]
-            rows.append({
-                "param": param,
-                "value": value,
-                "trials": len(results),
+            key = Protocol(protocol_name).error_key
+            stats = summary["metrics"][key]
+            point = {
                 "metric": f"error_{key}",
                 "mean_error": stats["mean"],
                 "rms_error": stats["rms"],
                 "ci95_halfwidth": stats["ci95_halfwidth"],
-            })
+            }
+        rows.append({"param": param, "value": value, "trials": summary["trials"], **point})
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = list(rows[0].keys())
-    lines = [_UNITS_COMMENT, ",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if row[k] is None else _fmt(row[k]) for k in header))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = list(rows[0])
+    _write_csv(out / "sweep.csv", header, ([row[k] for k in header] for row in rows))
     summary = {"protocol": protocol_name, "param": param, "points": rows}
     _write_json(out / "summary.json", summary)
-    manifest = _manifest(
-        "sweep", cfg, seed,
-        {protocol_name: trials},
+    manifest = RunManifest(
+        "sweep", config_sha256(cfg), seed, {protocol_name: trials},
         {"sweep": "sweep.csv", "summary": "summary.json"},
         sweep={"param": param, "values": list(values), "protocol": protocol_name},
     )
-    _write_json(out / "manifest.json", manifest.to_dict())
+    _write_json(out / "manifest.json", asdict(manifest))
     return summary
 
 
@@ -308,8 +285,6 @@ def run_experiment(
         raise ValueError(f"unknown subcommand {subcommand!r}")
     seed = cfg.seed if seed is None else _int(seed, "seed")
     trials = cfg.trials if trials is None else _int(trials, "trials")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
 
     if subcommand == "sweep":
         if protocol not in SWEEP_PROTOCOLS:
@@ -322,23 +297,16 @@ def run_experiment(
         if value is not None:
             raise ConfigError(f"{name} is a sweep argument; {subcommand!r} takes no {name}")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if subcommand == "compare":
-        summary = compare_equivalence(cfg, seed=seed, trials=trials, keep_trials=True)
-        results = summary.pop("trials_qcs") + summary.pop("trials_esct")
-        trials_by_protocol = {"qcs": trials, "esct": trials}
-    else:
-        results = run_trials(Protocol(subcommand), cfg, seed, trials)
-        summary = summarize_trials(results)
-        trials_by_protocol = {subcommand: trials}
+    results, summary = _run(subcommand, cfg, seed, trials)
     summary = {"subcommand": subcommand, "seed": seed, **summary}
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_results_csv(out / "results.csv", results)
     _write_json(out / "summary.json", summary)
-    manifest = _manifest(
-        subcommand, cfg, seed, trials_by_protocol,
+    manifest = RunManifest(
+        subcommand, config_sha256(cfg), seed, {r.protocol.value: trials for r in results},
         {"results": "results.csv", "summary": "summary.json"},
     )
-    _write_json(out / "manifest.json", manifest.to_dict())
+    _write_json(out / "manifest.json", asdict(manifest))
     return summary

@@ -39,6 +39,7 @@ from enum import Enum
 
 from .clocks import basis_for, esct_transfer, trigger_time
 from .config import ScenarioConfig, _int
+from .errors import ConfigError
 from .estimation import (
     MeasurementRecord,
     PhaseEstimate,
@@ -381,7 +382,7 @@ def run_trials(protocol: Protocol, cfg: ScenarioConfig, seed=None, trials=None,
     seed = cfg.seed if seed is None else _int(seed, "seed")
     trials = cfg.trials if trials is None else _int(trials, "trials")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     protocol.validate(cfg)
     runner = _RUNNERS[protocol]
     return [runner(cfg, trial_stream(seed, i, lane), trial_id=i) for i in range(trials)]

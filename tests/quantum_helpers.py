@@ -6,7 +6,8 @@ claims directly.
 """
 import math
 
-from qcs_sim import EquatorialState, Frequency, prob_pos
+from qcs_sim import Frequency
+from qcs_sim.quantum import EquatorialState, prob_pos
 
 #: The two dual-basis states reachable at delta = 0.
 POS = EquatorialState(0.0)

@@ -10,11 +10,8 @@ from scipy import stats
 
 from qcs_sim import (
     BasisPhase,
-    EquatorialState,
     Frequency,
     compare_equivalence,
-    evolve,
-    prob_pos,
     run_experiment,
     run_qcs_basic,
     run_qcs_beat,
@@ -22,6 +19,7 @@ from qcs_sim import (
     trial_stream,
 )
 from qcs_sim.protocols import Protocol
+from qcs_sim.quantum import EquatorialState, evolve, prob_pos
 
 from amplitude_oracle import (
     circular_diff,

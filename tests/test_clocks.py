@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qcs_sim import (
-    BasisPhase,
-    ClockModel,
-    ClockTrip,
-    ConfigError,
-    basis_for,
-    esct_transfer,
-    read,
-    trigger_time,
-)
+from qcs_sim import BasisPhase, ClockModel, ClockTrip, ConfigError
+from qcs_sim.clocks import basis_for, esct_transfer, read, trigger_time
 
 
 def test_perfect_clock_reads_true_time():

@@ -7,17 +7,18 @@ from qcs_sim import (
     AmbiguityError,
     BasisPhase,
     DegenerateCountsError,
-    EquatorialState,
     Frequency,
     InsufficientSamplesError,
+)
+from qcs_sim.estimation import (
     MeasurementRecord,
     PhaseEstimate,
+    check_rate_ambiguity,
     estimate_phase,
     estimate_rate,
-    prob_pos,
     wrap_pi,
 )
-from qcs_sim.estimation import check_rate_ambiguity
+from qcs_sim.quantum import EquatorialState, prob_pos
 
 from amplitude_oracle import circular_diff
 

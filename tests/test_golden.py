@@ -60,6 +60,10 @@ def _cases():
         "sweep": (dict(subcommand="sweep", seed=17, protocol="beat",
                        sweep_param="ensemble_size", sweep_values=[4000.0, 8000.0]),
                   two_species(ensemble_size=4000, trials=5)),
+        "sweep-compare": (dict(subcommand="sweep", seed=20, protocol="compare",
+                               sweep_param="matched_jitter", sweep_values=[1e-10, 1e-9]),
+                          matched_compare(alpha=5e-9, jitter=1e-9, ensemble_size=4000,
+                                          trials=5)),
     }
 
 
@@ -68,7 +72,7 @@ def output_hashes(case, out_dir) -> dict:
     kwargs, cfg = _cases()[case]
     kwargs = dict(kwargs)
     run_experiment(kwargs.pop("subcommand"), cfg, out_dir, **kwargs)
-    names = SWEEP_FILES if case == "sweep" else RUN_FILES
+    names = SWEEP_FILES if case.startswith("sweep") else RUN_FILES
     return {
         f"{case}/{name}": hashlib.sha256((Path(out_dir) / name).read_bytes()).hexdigest()
         for name in names
@@ -125,6 +129,12 @@ GOLDEN = {
             "df3b4a86b41e8560dbc07cbc6a7af6a11a1e924f167960c1386242245654f2e9",
         "sweep/manifest.json":
             "910c657000a096b49c164272b64cf412f3715907d78606c629821542e3773c50",
+        "sweep-compare/sweep.csv":
+            "5adabe0d1bc5fe33aa1b9bf452577115748336d5bc1c9eee22b5c553bfde0702",
+        "sweep-compare/summary.json":
+            "4139ab655efae854ab612ee45f1e60e992f2394dbb578faff551e49841ddd7aa",
+        "sweep-compare/manifest.json":
+            "5e34cbaffdc53127cd6f47b4c95bba08a5e3c0bd80b5cc2bd68e32f30c0970ae",
         "syntonize/results.csv":
             "3c05ef1467b5b585f339e2556b7432d4f7d59f650789b28283645c71385d3a07",
         "syntonize/summary.json":

@@ -157,6 +157,8 @@ def test_library_entry_points_reject_non_integral_seed_and_trials(tmp_path, fiel
         run_experiment("qcs", cfg, tmp_path / "x", **{"seed": 1, "trials": 2, field: 2.7})
     with pytest.raises(ConfigError, match=field):
         run_trials(Protocol.QCS_BASIC, cfg, **{"seed": 2, "trials": 1, field: 1.5})
+    with pytest.raises(ConfigError, match="trials"):
+        run_trials(Protocol.QCS_BASIC, cfg, seed=2, trials=0)
     assert len(run_trials(Protocol.QCS_BASIC, cfg, seed=2.0, trials=3.0)) == 3
 
 
@@ -174,7 +176,14 @@ def test_cli_exit_code_2_on_config_problems(tmp_path):
     cfg = one_species(ensemble_size=5000)
     path = write_config(tmp_path, cfg)
     assert main(["qcs", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+    # a config the protocol rejects fails before any output directory is made
     assert main(["beat", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    unmatched = write_config(tmp_path, one_species(
+        ensemble_size=5000, transport={"alpha": 1e-9, "beta_by_species": {"cs": 0.0}}),
+        name="unmatched.json")
+    assert main(["compare", "--config", str(unmatched), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "o"), "--trials", "0"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -8,9 +8,7 @@ from scipy import stats
 from qcs_sim import (
     AmbiguityError,
     BasisPhase,
-    EquatorialState,
     compare_equivalence,
-    esct_transfer,
     run_esct,
     run_qcs_basic,
     run_qcs_beat,
@@ -18,6 +16,8 @@ from qcs_sim import (
     run_trials,
     trial_stream,
 )
+from qcs_sim.clocks import esct_transfer
+from qcs_sim.quantum import EquatorialState
 from qcs_sim import protocols
 from qcs_sim.protocols import Protocol
 

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qcs_sim import (
-    BasisPhase,
-    EquatorialState,
-    Frequency,
-    canonicalize,
-    evolve,
-    imprint_phase,
-    prob_pos,
-)
+from qcs_sim import BasisPhase, Frequency
+from qcs_sim.quantum import EquatorialState, canonicalize, evolve, imprint_phase, prob_pos
 from qcs_sim.quantum import collapse_singlet
 
 from amplitude_oracle import (

@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qcs_sim import (
-    ClockTrip,
-    ConfigError,
-    EquatorialState,
-    Frequency,
-    TransportModel,
-    canonicalize,
-    esct_transfer,
-    transport_phase,
-)
+from qcs_sim import ClockTrip, ConfigError, Frequency, TransportModel
+from qcs_sim.clocks import esct_transfer
+from qcs_sim.quantum import EquatorialState, canonicalize
+from qcs_sim.transport import transport_phase
 from qcs_sim.transport import apply_transport
 
 TWO_PI = 2 * math.pi
