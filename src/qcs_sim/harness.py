@@ -51,12 +51,9 @@ def config_sha256(cfg: ScenarioConfig) -> str:
 
 
 def _ordered_union(results, group):
-    keys: list[str] = []
-    for r in results:
-        for k in sorted(getattr(r, group)):
-            if k not in keys:
-                keys.append(k)
-    return keys
+    """Each result's keys in sorted order, first seen first, each key once."""
+    shapes = dict.fromkeys(tuple(getattr(r, group)) for r in results)
+    return list(dict.fromkeys(k for shape in shapes for k in sorted(shape)))
 
 
 def _write_csv(path, header, rows):

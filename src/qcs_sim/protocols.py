@@ -50,7 +50,8 @@ from .estimation import (
 )
 from .quantum import BasisPhase, EquatorialState, canonicalize, evolve, imprint_phase, prob_pos
 from .quantum import collapse_singlet  # noqa: F401  unused; perfbench's tracer looks it up here
-from .rng import trial_stream
+from .rng import trial_stream  # noqa: F401  unused; perfbench's tracer looks it up here
+from .rng import trial_streams
 from .transport import apply_transport  # noqa: F401  unused; perfbench's tracer looks it up here
 from .transport import transport_phase
 
@@ -385,4 +386,5 @@ def run_trials(protocol: Protocol, cfg: ScenarioConfig, seed=None, trials=None,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     protocol.validate(cfg)
     runner = _RUNNERS[protocol]
-    return [runner(cfg, trial_stream(seed, i, lane), trial_id=i) for i in range(trials)]
+    streams = trial_streams(seed, trials, lane)
+    return [runner(cfg, rng, trial_id=i) for i, rng in enumerate(streams)]
