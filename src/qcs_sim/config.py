@@ -1,19 +1,29 @@
 """Scenario configuration: schema, validation, JSON round-trip.
 
 A scenario is one JSON object whose sections mirror the model types (see
-README for the field/unit reference). Only `species` and the per-species
-delta/beta entries are mandatory; everything else has perfect-model defaults.
-Validation is strict: unknown keys, missing cross-references and out-of-range
-values all raise ConfigError naming the offending field.
+README for the field/unit reference). The dataclasses are the schema: their
+fields name the keys, their annotations type the values, and their defaults
+fill in what a file leaves out. One reader (`_read`) and one writer
+(`_plain`) walk them. Only `species` and the per-species delta/beta entries
+are mandatory; everything else has perfect-model defaults.
+
+Validation stays in the models' `__post_init__` and is strict: unknown keys,
+wrong types, missing cross-references and out-of-range values all raise
+ConfigError naming the offending field by its dotted path, such as
+`clock_b.sigma_read` or `transport.beta_by_species.cs`.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import numbers
 import re
+import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 _SPECIES_ID = re.compile(r"[A-Za-z0-9_]+")
 
@@ -22,9 +32,11 @@ from .errors import ConfigError
 from .quantum import BasisPhase, Frequency
 from .transport import TransportModel
 
-#: Minimum pairs per measurement epoch (>= 100 per quadrature after the
-#: ~50% type-II selection).
-MIN_ENSEMBLE_PER_EPOCH = 400
+#: Minimum pairs per measurement epoch. Without `use_type_i` a quadrature
+#: keeps m/2 of the m type-II pairs, and m ~ Bin(N, 1/2), so a quadrature
+#: falls below estimation.MIN_SAMPLES = 100 with probability
+#: P(Bin(N, 1/2) < 200): 0.48 at N = 400, 5.2e-10 at N = 540.
+MIN_ENSEMBLE_PER_EPOCH = 540
 
 #: numpy's hypergeometric samplers, which a shuffled type list needs, take
 #: fewer than 1e9 items.
@@ -72,7 +84,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if len(self.species) == 0:
-            raise ConfigError("at least one species must be configured")
+            raise ConfigError("species must name at least one species")
         for sp in self.species:
             if not _SPECIES_ID.fullmatch(sp):
                 raise ConfigError(
@@ -119,82 +131,11 @@ class ScenarioConfig:
     # -- (de)serialization ------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "species": {sp: f.omega for sp, f in self.species.items()},
-            "ensemble_size": self.ensemble_size,
-            "clock_a": _clock_to_dict(self.clock_a),
-            "clock_b": _clock_to_dict(self.clock_b),
-            "transport": {
-                "alpha": self.transport.alpha,
-                "beta_by_species": dict(self.transport.beta_by_species),
-                "sigma_common": self.transport.sigma_common,
-                "sigma_pair": self.transport.sigma_pair,
-            },
-            "trip": {
-                "duration": self.trip.duration,
-                "alpha": self.trip.alpha,
-                "jitter": self.trip.jitter,
-            },
-            "epochs": {"a_start": self.epochs.a_start, "b_measure": list(self.epochs.b_measure)},
-            "seed": self.seed,
-            "trials": self.trials,
-            "use_type_i": self.use_type_i,
-            "shuffle_type_list": self.shuffle_type_list,
-            "noiseless": self.noiseless,
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioConfig":
-        if not isinstance(data, Mapping):
-            raise ConfigError("config root must be an object")
-        known = {
-            "species", "ensemble_size", "clock_a", "clock_b", "transport",
-            "trip", "epochs", "seed", "trials", "use_type_i",
-            "shuffle_type_list", "noiseless",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "species" not in data:
-            raise ConfigError("config must define 'species'")
-
-        species = {}
-        for sp, omega in _section(data, "species").items():
-            try:
-                species[sp] = Frequency(_number(omega, f"species.{sp}"))
-            except ValueError as exc:
-                raise ConfigError(f"species.{sp}: {exc}") from None
-        try:
-            clock_a = _clock_from_dict(_section(data, "clock_a", {}), "clock_a")
-            clock_b = _clock_from_dict(_section(data, "clock_b", {}), "clock_b")
-            transport = _transport_from_dict(_section(data, "transport", {}))
-            trip = _trip_from_dict(_section(data, "trip", {}))
-            epochs = _epochs_from_dict(_section(data, "epochs", {}))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return cls(
-            species=species,
-            ensemble_size=_int(data.get("ensemble_size", 100_000), "ensemble_size"),
-            clock_a=clock_a,
-            clock_b=clock_b,
-            transport=transport,
-            trip=trip,
-            epochs=epochs,
-            seed=_int(data.get("seed", 0), "seed"),
-            trials=_int(data.get("trials", 100), "trials"),
-            use_type_i=_bool(data.get("use_type_i", False), "use_type_i"),
-            shuffle_type_list=_bool(data.get("shuffle_type_list", False), "shuffle_type_list"),
-            noiseless=_bool(data.get("noiseless", False), "noiseless"),
-        )
-
-
-def _section(data, key, default=None):
-    value = data.get(key, default)
-    if value is None:
-        raise ConfigError(f"config must define '{key}'")
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"config section '{key}' must be an object")
-    return value
+        return _read(cls, data, "")
 
 
 def _number(value, where) -> float:
@@ -218,69 +159,72 @@ def _bool(value, where) -> bool:
     return value
 
 
-def _check_keys(section, allowed, where):
-    unknown = set(section) - set(allowed)
+#: Model types written as their one float field, a bare JSON number.
+_SCALARS = (BasisPhase, Frequency)
+
+_LEAVES = {float: _number, int: _int, bool: _bool}
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict[str, Any], tuple[str, ...]]:
+    """A dataclass's field types, resolved once, and its fields without a default."""
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls)
+    required = tuple(f.name for f in fields
+                     if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+    return {f.name: hints[f.name] for f in fields}, required
+
+
+def _read(tp, value, path: str):
+    """Build a `tp` from its JSON form; every error names the dotted `path`.
+
+    Missing fields take the dataclass defaults. A model's ValueError comes
+    back as a ConfigError prefixed with the path of its section.
+    """
+    leaf = _LEAVES.get(tp)
+    if leaf is not None:
+        return leaf(value, path)
+    if tp in _SCALARS:
+        try:
+            return tp(_number(value, path))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path or 'config root'} must be an object, got {value!r}")
+    if origin is Mapping:
+        item = typing.get_args(tp)[1]
+        return {k: _read(item, v, f"{path}.{k}") for k, v in value.items()}
+    types, required = _schema(tp)
+    prefix = f"{path}." if path else ""
+    unknown = value.keys() - types
     if unknown:
-        raise ConfigError(f"unknown keys in '{where}': {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(f'{prefix}{k}' for k in unknown)}")
+    for name in required:
+        if name not in value:
+            raise ConfigError(f"config must define '{prefix}{name}'")
+    kwargs = {k: _read(types[k], v, prefix + k) for k, v in value.items()}
+    try:
+        return tp(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _clock_to_dict(clock: ClockModel) -> dict[str, Any]:
-    return {
-        "x0": clock.x0,
-        "y": clock.y,
-        "sigma_read": clock.sigma_read,
-        "delta_by_species": {sp: b.delta for sp, b in clock.delta_by_species.items()},
-    }
-
-
-def _clock_from_dict(section, where) -> ClockModel:
-    _check_keys(section, ("x0", "y", "sigma_read", "delta_by_species"), where)
-    deltas = {
-        sp: BasisPhase(_number(d, f"{where}.delta_by_species.{sp}"))
-        for sp, d in section.get("delta_by_species", {}).items()
-    }
-    return ClockModel(
-        x0=_number(section.get("x0", 0.0), f"{where}.x0"),
-        y=_number(section.get("y", 0.0), f"{where}.y"),
-        sigma_read=_number(section.get("sigma_read", 0.0), f"{where}.sigma_read"),
-        delta_by_species=deltas,
-    )
-
-
-def _transport_from_dict(section) -> TransportModel:
-    _check_keys(
-        section, ("alpha", "beta_by_species", "sigma_common", "sigma_pair"), "transport"
-    )
-    betas = {
-        sp: _number(b, f"transport.beta_by_species.{sp}")
-        for sp, b in section.get("beta_by_species", {}).items()
-    }
-    return TransportModel(
-        alpha=_number(section.get("alpha", 0.0), "transport.alpha"),
-        beta_by_species=betas,
-        sigma_common=_number(section.get("sigma_common", 0.0), "transport.sigma_common"),
-        sigma_pair=_number(section.get("sigma_pair", 0.0), "transport.sigma_pair"),
-    )
-
-
-def _trip_from_dict(section) -> ClockTrip:
-    _check_keys(section, ("duration", "alpha", "jitter"), "trip")
-    return ClockTrip(
-        duration=_number(section.get("duration", 1.0), "trip.duration"),
-        alpha=_number(section.get("alpha", 0.0), "trip.alpha"),
-        jitter=_number(section.get("jitter", 0.0), "trip.jitter"),
-    )
-
-
-def _epochs_from_dict(section) -> Epochs:
-    _check_keys(section, ("a_start", "b_measure"), "epochs")
-    b_measure = section.get("b_measure", [1.0])
-    if not isinstance(b_measure, (list, tuple)):
-        raise ConfigError("epochs.b_measure must be a list")
-    return Epochs(
-        a_start=_number(section.get("a_start", 0.0), "epochs.a_start"),
-        b_measure=tuple(_number(t, "epochs.b_measure[]") for t in b_measure),
-    )
+def _plain(value):
+    """The JSON form of a config value: the inverse of `_read`."""
+    if isinstance(value, (int, float)):
+        return value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    doc = {name: _plain(getattr(value, name)) for name in _schema(type(value))[0]}
+    return next(iter(doc.values())) if isinstance(value, _SCALARS) else doc
 
 
 def load_config(path) -> ScenarioConfig:

@@ -46,7 +46,7 @@ class TransportModel:
                 raise ValueError(f"{name} must be >= 0")
         for sp, beta in self.beta_by_species.items():
             if not math.isfinite(beta):
-                raise ValueError(f"beta for species {sp!r} must be finite")
+                raise ValueError(f"beta_by_species.{sp} must be finite")
 
 
 def beta_for(model: TransportModel, species: str) -> float:

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from qcs_sim import ConfigError, ScenarioConfig, load_config
+from qcs_sim import ConfigError, Protocol, ScenarioConfig, load_config, run_trials
+from qcs_sim.config import MIN_ENSEMBLE_PER_EPOCH
 from qcs_sim.harness import apply_sweep_value
 
 OMEGA = 2 * math.pi * 1e6
@@ -61,6 +62,55 @@ def test_missing_beta_names_species():
         ScenarioConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("section,key", [
+    ("clock_a", "delta_by_species"),
+    ("clock_b", "delta_by_species"),
+    ("transport", "beta_by_species"),
+])
+def test_by_species_list_names_its_path(section, key):
+    doc = dict(MINIMAL, **{section: {key: [0.0]}})
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be an object"):
+        ScenarioConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("section", ["species", "clock_a", "transport", "trip", "epochs"])
+def test_null_section_must_be_an_object(section):
+    with pytest.raises(ConfigError, match=f"^{section} must be an object"):
+        ScenarioConfig.from_dict(dict(MINIMAL, **{section: None}))
+
+
+def test_empty_species_is_named():
+    with pytest.raises(ConfigError, match="^species must name at least one"):
+        ScenarioConfig.from_dict(dict(MINIMAL, species={}))
+
+
+def test_missing_species_is_named():
+    doc = {k: v for k, v in MINIMAL.items() if k != "species"}
+    with pytest.raises(ConfigError, match="must define 'species'"):
+        ScenarioConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ("transport.sigma_common", -1.0, "transport.sigma_common must be >= 0"),
+    ("clock_b.sigma_read", -1.0, "clock_b.sigma_read must be >= 0"),
+    ("clock_a.delta_by_species.cs", math.nan, "clock_a.delta_by_species.cs: delta must be finite"),
+    ("transport.beta_by_species.cs", math.inf, "transport.beta_by_species.cs must be finite"),
+    ("trip.duration", 0.0, "trip.duration must be > 0"),
+    ("epochs.a_start", math.nan, "epochs.a_start must be finite"),
+    ("species.cs", -1.0, "species.cs: omega must be finite and > 0"),
+])
+def test_model_errors_name_the_dotted_path(path, value, message):
+    doc = full_doc()
+    *parents, leaf = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_dict(doc)
+    assert str(exc.value).startswith(message)
+
+
 def test_nonpositive_omega_rejected():
     doc = dict(MINIMAL, species={"cs": 0.0})
     with pytest.raises(ConfigError, match="omega"):
@@ -75,12 +125,19 @@ def test_unknown_keys_rejected():
 
 
 def test_ensemble_floor_scales_with_epochs():
-    ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=400))
+    ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=540))
     with pytest.raises(ConfigError, match="ensemble_size"):
-        ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=399))
-    two_epochs = dict(MINIMAL, epochs={"b_measure": [1.0, 2.0]}, ensemble_size=799)
+        ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=539))
+    two_epochs = dict(MINIMAL, epochs={"b_measure": [1.0, 2.0]}, ensemble_size=1079)
     with pytest.raises(ConfigError, match="ensemble_size"):
         ScenarioConfig.from_dict(two_epochs)
+
+
+def test_basic_trials_at_the_ensemble_floor_complete():
+    # m ~ Bin(N, 1/2) type-II pairs; the floor keeps a quadrature below
+    # MIN_SAMPLES to ~5e-10 per trial, so 200 trials should all estimate
+    cfg = ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=MIN_ENSEMBLE_PER_EPOCH))
+    assert len(run_trials(Protocol.QCS_BASIC, cfg, seed=0, trials=200)) == 200
 
 
 def test_shuffled_ensemble_stays_below_hypergeometric_limit():

@@ -1,0 +1,128 @@
+"""Property tests of the scenario reader and writer.
+
+Valid documents are drawn with optional sections and fields left out, so
+the dataclass defaults are exercised as well as the values.
+"""
+import json
+import math
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from qcs_sim import ConfigError, ScenarioConfig
+from qcs_sim.config import MIN_ENSEMBLE_PER_EPOCH
+from qcs_sim.harness import config_sha256
+
+#: Deterministic, and without the explain phase, which takes minutes on a failure.
+SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None,
+                    phases=(Phase.explicit, Phase.generate, Phase.shrink))
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+SPECIES_IDS = st.lists(st.text("abcXYZ019_", min_size=1, max_size=4),
+                       min_size=1, max_size=3, unique=True)
+
+#: Fields that must be >= 0 (or > 0); any other number may be negative.
+NONNEGATIVE_FIELDS = {"species", "sigma_read", "sigma_common", "sigma_pair", "duration",
+                      "jitter", "ensemble_size", "seed", "trials"}
+#: Maps keyed by species id; an entry is a value of the map's field.
+SPECIES_MAPS = {"species", "delta_by_species", "beta_by_species"}
+
+
+def _section(draw, required, optional):
+    return draw(st.fixed_dictionaries(required, optional=optional))
+
+
+@st.composite
+def documents(draw):
+    """A valid scenario document."""
+    ids = draw(SPECIES_IDS)
+    noiseless = draw(st.booleans())
+    noise = st.just(0.0) if noiseless else NONNEGATIVE
+
+    def per_species(values):
+        return st.fixed_dictionaries({sp: values for sp in ids})
+
+    def clock():
+        return _section(draw, {"delta_by_species": per_species(FINITE)},
+                        {"x0": FINITE, "y": FINITE, "sigma_read": noise})
+
+    b_measure = draw(st.lists(FINITE, min_size=1, max_size=3, unique=True).map(sorted))
+    doc = {
+        "species": draw(per_species(POSITIVE)),
+        "clock_a": clock(),
+        "clock_b": clock(),
+        "transport": _section(draw, {"beta_by_species": per_species(FINITE)},
+                              {"alpha": FINITE, "sigma_common": noise, "sigma_pair": noise}),
+    }
+    optional = {
+        "ensemble_size": draw(st.integers(MIN_ENSEMBLE_PER_EPOCH * len(b_measure), 10**8)),
+        "trip": _section(draw, {}, {"duration": POSITIVE, "alpha": FINITE, "jitter": noise}),
+        "epochs": _section(draw, {"b_measure": st.just(b_measure)}, {"a_start": FINITE}),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "trials": draw(st.integers(1, 10**6)),
+        "use_type_i": draw(st.booleans()),
+        "shuffle_type_list": False if noiseless else draw(st.booleans()),
+        "noiseless": noiseless,
+    }
+    keep = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    doc.update((k, optional[k]) for k in keep)
+    return doc
+
+
+def _nodes(node, path=()):
+    """(path, value) for every field and entry of a document, depth first."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, path + (key,))
+
+
+def _dotted(path):
+    """The dotted path a message names; a list entry is named by its list."""
+    return ".".join(str(p) for p in path if not isinstance(p, int))
+
+
+def _field(path):
+    """The schema field a value belongs to: a map entry's is its map's."""
+    names = [p for p in path if not isinstance(p, int)]
+    return names[-2] if len(names) > 1 and names[-2] in SPECIES_MAPS else names[-1]
+
+
+def _malformed(path, value):
+    if isinstance(value, dict):
+        return [[]]
+    bad = ["x", math.nan, math.inf, -math.inf]
+    if _field(path) in NONNEGATIVE_FIELDS:
+        bad.append(-1)
+    return bad
+
+
+@SETTINGS
+@given(documents())
+def test_valid_documents_round_trip(doc):
+    cfg = ScenarioConfig.from_dict(doc)
+    again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    assert again.to_dict() == cfg.to_dict()
+    assert config_sha256(again) == config_sha256(cfg)
+
+
+@SETTINGS
+@given(documents())
+def test_every_malformed_field_is_named_by_its_dotted_path(doc):
+    for path, value in list(_nodes(doc)):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        for bad in _malformed(path, value):
+            node[path[-1]] = bad
+            try:
+                ScenarioConfig.from_dict(doc)
+            except ConfigError as exc:
+                assert str(exc).startswith(_dotted(path)), (path, bad, str(exc))
+            else:
+                raise AssertionError(f"{_dotted(path)} = {bad!r} was accepted")
+        node[path[-1]] = value

@@ -190,6 +190,17 @@ def test_cli_exit_code_2_on_config_problems(tmp_path):
     assert main(["qcs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("section,key", [("clock_a", "delta_by_species"),
+                                         ("transport", "beta_by_species")])
+def test_cli_exit_code_2_on_list_valued_by_species(tmp_path, capsys, section, key):
+    doc = one_species(ensemble_size=5000).to_dict()
+    doc[section][key] = [0.0]
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(doc))
+    assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
 def test_cli_exit_code_2_on_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x", "--out", "y"])
