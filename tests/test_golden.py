@@ -28,6 +28,9 @@ SWEEP_FILES = ("sweep.csv", "summary.json", "manifest.json")
 def _cases():
     noisy_b = {"x0": 3e-8, "sigma_read": 1e-10, "delta_by_species": {"cs": 0.2}}
     noisy_transport = {"alpha": 1e-9, "sigma_common": 0.01, "beta_by_species": {"cs": 0.05}}
+    # read noise on both clocks, so the order of A's trigger draw against B's
+    # and against the transport draw shows in the bytes
+    noisy_a = {"x0": -1e-8, "sigma_read": 3e-10, "delta_by_species": {"cs": 0.1}}
     return {
         "qcs": (dict(subcommand="qcs", seed=11), one_species(
             ensemble_size=4000, trials=6, clock_b=noisy_b, transport=noisy_transport)),
@@ -41,6 +44,9 @@ def _cases():
         "qcs-shuffle": (dict(subcommand="qcs", seed=18), one_species(
             ensemble_size=4000, trials=4, use_type_i=True, shuffle_type_list=True,
             clock_b=noisy_b, transport=dict(noisy_transport, sigma_pair=0.02))),
+        "qcs-read-noise": (dict(subcommand="qcs", seed=21), one_species(
+            ensemble_size=4000, trials=4, clock_a=noisy_a, clock_b=noisy_b,
+            transport=noisy_transport)),
         "beat": (dict(subcommand="beat", seed=13), two_species(
             ensemble_size=4000, trials=6, use_type_i=True,
             clock_b={"sigma_read": 1e-10, "delta_by_species": {"cs": 0.7, "rb": 0.7}},
@@ -51,6 +57,10 @@ def _cases():
             transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
         "syntonize-shuffle": (dict(subcommand="syntonize", seed=19), syntonize(
             y=1e-12, ensemble_size=8000, trials=4, use_type_i=True, shuffle_type_list=True,
+            transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
+        "syntonize-read-noise": (dict(subcommand="syntonize", seed=22), syntonize(
+            y=1e-12, ensemble_size=8000, trials=4, clock_a=noisy_a,
+            clock_b={"y": 1e-12, "sigma_read": 1e-10, "delta_by_species": {"cs": 0.2}},
             transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
         "esct": (dict(subcommand="esct", seed=15), one_species(
             ensemble_size=4000, trials=6,
@@ -117,6 +127,12 @@ GOLDEN = {
             "0d40f3ec0e2bb98b5d19a41ae7df8ad86a132e1b8daf355e0b7e140ec8064a4e",
         "qcs-pairwise/manifest.json":
             "614cb9ef76c71ace8fc6625e20a6f626d806b8cb0c026117940c484681a6a6d3",
+        "qcs-read-noise/results.csv":
+            "59fc34f4c89e7111159048af1aada547f448a7ede47dd4ad88ae69b8f852c9e7",
+        "qcs-read-noise/summary.json":
+            "12a15294c4610f5830dda6979d50a261b972445ec10471b4d7501134b3aa08b4",
+        "qcs-read-noise/manifest.json":
+            "e4647f5cacd427b43216cbed7c6f89b2e48a53869e8ac3af81e2e9ce65935609",
         "qcs-shuffle/results.csv":
             "711992b0d67a344cf8df7be776d78d3633781cc44170e31403666cb8fe3d541a",
         "qcs-shuffle/summary.json":
@@ -141,6 +157,12 @@ GOLDEN = {
             "9aa2ed7a666df81991a4be4029ed225b68f717c8d5ea611fc4c207842542a0e1",
         "syntonize/manifest.json":
             "98f0fbd84f1deff50c5a6bc8de3a7cfe7a4dd645e44bfa40a591ce2070740864",
+        "syntonize-read-noise/results.csv":
+            "5f3ef1cfe8b2f878c64094a15c5cb3373d674244a3d9c2936742251530dc59b8",
+        "syntonize-read-noise/summary.json":
+            "647f1072956dbe2f059823f5059a1c0207a751f4b40fb961b9ca9f368036ebfd",
+        "syntonize-read-noise/manifest.json":
+            "a611a637d0b3aac31d7fb139f87a843ce55c926262d9f9f3e1647b5852e60e01",
         "syntonize-shuffle/results.csv":
             "b50a70272ab67c7769bf3ba56a1825d86f138cd8a41a529ee8069940510f4c11",
         "syntonize-shuffle/summary.json":
