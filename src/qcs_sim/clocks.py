@@ -52,20 +52,18 @@ def basis_for(clock: ClockModel, species: str) -> BasisPhase:
         ) from None
 
 
-def read(clock: ClockModel, t_true: float, rng=None) -> float:
+def read(clock: ClockModel, t_true: float, rng) -> float:
     """Clock reading at true time t_true: x0 + (1 + y)*t_true + white noise."""
     t_true = float(t_true)
     if not math.isfinite(t_true):
         raise ValueError("t_true must be finite")
     value = clock.x0 + (1.0 + clock.y) * t_true
     if clock.sigma_read > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma_read > 0")
         value += clock.sigma_read * rng.standard_normal()
     return value
 
 
-def trigger_time(clock: ClockModel, reading: float, rng=None) -> float:
+def trigger_time(clock: ClockModel, reading: float, rng) -> float:
     """True time at which the clock display reaches `reading` (inverse of read).
 
     With read noise, the event fires when the noisy display crosses the
@@ -76,8 +74,6 @@ def trigger_time(clock: ClockModel, reading: float, rng=None) -> float:
         raise ValueError("reading must be finite")
     noise = 0.0
     if clock.sigma_read > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma_read > 0")
         noise = clock.sigma_read * rng.standard_normal()
     return (reading - clock.x0 - noise) / (1.0 + clock.y)
 
@@ -107,11 +103,9 @@ class ClockTrip:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
 
-def esct_transfer(trip: ClockTrip, rng=None) -> float:
+def esct_transfer(trip: ClockTrip, rng) -> float:
     """Synchronization error carried by the transported clock on arrival."""
     error = trip.alpha
     if trip.jitter > 0.0:
-        if rng is None:
-            raise ValueError("rng required when jitter > 0")
         error += trip.jitter * rng.standard_normal()
     return error

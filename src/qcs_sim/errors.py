@@ -14,15 +14,15 @@ class ConfigError(QcsSimError):
     """
 
 
-class InsufficientSamplesError(ValueError):
+class InsufficientSamplesError(QcsSimError, ValueError):
     """A measurement record has too few pairs for phase estimation."""
 
 
-class AmbiguityError(ValueError):
+class AmbiguityError(QcsSimError, ValueError):
     """The configured phase advance exceeds the unambiguous +/- pi window."""
 
 
-class DegenerateCountsError(RuntimeError):
+class DegenerateCountsError(QcsSimError, RuntimeError):
     """Quadrature counts sit at the circle center and carry no phase.
 
     For pure equatorial states this cannot happen in expectation; seeing

@@ -32,7 +32,7 @@ def wrap_pi(x: float) -> float:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Counts from one sub-ensemble measured in one basis at one local epoch.
+    """Counts from one sub-ensemble measured in one basis.
 
     n and k_pos are conceptually integers; floats are accepted so idealized
     expected-count records can flow through the same estimator.
@@ -41,16 +41,12 @@ class MeasurementRecord:
     n: float
     k_pos: float
     basis: BasisPhase
-    epoch_local: float
-    species: str
 
     def __post_init__(self):
         if not (math.isfinite(self.n) and self.n >= 1):
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0 <= self.k_pos <= self.n):
             raise ValueError(f"k_pos must be in [0, n], got {self.k_pos} of {self.n}")
-        if not math.isfinite(self.epoch_local):
-            raise ValueError("epoch_local must be finite")
 
 
 @dataclass(frozen=True)
@@ -83,13 +79,10 @@ def estimate_phase(rec0: MeasurementRecord, rec1: MeasurementRecord) -> PhaseEst
     rec0 is read out at basis phase delta, rec1 at delta + pi/2 (mod 2*pi,
     within QUADRATURE_TOL). With c = 2*k0/n0 - 1 and s = 2*k1/n1 - 1 the
     estimate is canonicalize(delta + atan2(s, c)); it is consistent, with
-    bias -> 0 as n grows, and both records must come from states measured at
-    the same epoch for the angle to mean anything.
+    bias -> 0 as n grows. The angle only means something when both records
+    read out the same species at the same epoch; records carry neither, so
+    pairing them is the caller's job.
     """
-    if rec0.species != rec1.species:
-        raise ValueError(
-            f"records mix species {rec0.species!r} and {rec1.species!r}"
-        )
     gap = wrap_pi(rec1.basis.delta - rec0.basis.delta - 0.5 * math.pi)
     if abs(gap) > QUADRATURE_TOL:
         raise ValueError(

@@ -42,7 +42,6 @@ from .config import ScenarioConfig, _int
 from .errors import ConfigError
 from .estimation import (
     MeasurementRecord,
-    PhaseEstimate,
     check_rate_ambiguity,
     estimate_phase,
     estimate_rate,
@@ -178,10 +177,9 @@ def _count_pos(good, bad, p, rng):
     return k + int(rng.binomial(bad, 1.0 - p)) if bad else k
 
 
-def _measure_quadratures(cfg, state, blocks, delta_b, species, epoch_local, rng):
-    """Read B's kept list out in two quadrature bases: basis 0 takes the first half."""
-    basis0 = delta_b
-    basis1 = BasisPhase(delta_b.delta + 0.5 * math.pi)
+def _measure_quadratures(cfg, state, blocks, basis0, rng):
+    """Read B's kept list out in two quadrature bases: basis0 takes the first half."""
+    basis1 = BasisPhase(basis0.delta + 0.5 * math.pi)
     p0 = prob_pos(state, basis0)
     p1 = prob_pos(state, basis1)
     n_kept = sum(good + bad for good, bad in blocks)
@@ -201,28 +199,25 @@ def _measure_quadratures(cfg, state, blocks, delta_b, species, epoch_local, rng)
         g0, g1 = _split_good(blocks, n0, rng)
         k0 = _count_pos(g0, n0 - g0, p0, rng)
         k1 = _count_pos(g1, n1 - g1, p1, rng)
-    rec0 = MeasurementRecord(n0, k0, basis0, epoch_local, species)
-    rec1 = MeasurementRecord(n1, k1, basis1, epoch_local, species)
-    return rec0, rec1
+    return MeasurementRecord(n0, k0, basis0), MeasurementRecord(n1, k1, basis1)
 
 
-def _run_species_phase(cfg, species, freq, tau, epoch_local, rng):
-    """One species' full pre-clock cycle; returns (PhaseEstimate, phi_common, counts)."""
-    delta_a = basis_for(cfg.clock_a, species)
-    delta_b = basis_for(cfg.clock_b, species)
-    (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
-    phi_common = transport_phase(cfg.transport, species, freq, rng)
-    state = EquatorialState(delta_a.delta)  # type II partner at collapse
+def _read_out(cfg, species, freq, blocks, phi_common, tau, rng):
+    """Collapse, transport by phi_common, precession for tau, and readout of B's `blocks`.
+
+    Returns (PhaseEstimate, counts).
+    """
+    state = EquatorialState(basis_for(cfg.clock_a, species).delta)
     state = evolve(imprint_phase(state, phi_common), freq, tau)
-    rec0, rec1 = _measure_quadratures(cfg, state, blocks, delta_b, species, epoch_local, rng)
-    est = estimate_phase(rec0, rec1)
+    delta_b = basis_for(cfg.clock_b, species)
+    rec0, rec1 = _measure_quadratures(cfg, state, blocks, delta_b, rng)
     counts = {"n0": float(rec0.n), "k0": float(rec0.k_pos),
               "n1": float(rec1.n), "k1": float(rec1.k_pos)}
-    return est, phi_common, counts
+    return estimate_phase(rec0, rec1), counts
 
 
 def _trigger_interval(cfg, rng):
-    """(B's epoch, true time from A's collapse to B's readout, its nominal value).
+    """(true time from A's collapse to B's readout, its nominal value).
 
     Single-epoch protocols read the first epoch. Draws clock_a's trigger
     before clock_b's.
@@ -230,18 +225,19 @@ def _trigger_interval(cfg, rng):
     epoch = cfg.epochs.b_measure[0]
     t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
     t_meas = trigger_time(cfg.clock_b, epoch, rng)
-    return epoch, t_meas - t_collapse, epoch - cfg.epochs.a_start
+    return t_meas - t_collapse, epoch - cfg.epochs.a_start
 
 
-def _phase_residual(cfg, species, freq, epoch, tau, nominal, rng):
+def _phase_residual(cfg, species, freq, tau, nominal, rng):
     """One species' cycle and its phase residual against B's model of the pre-clock.
 
     B's model is his own basis phase advanced by the nominal elapsed time.
     Returns (residual in (-pi, pi], PhaseEstimate, phi_common, counts).
     """
-    est, phi_common, counts = _run_species_phase(cfg, species, freq, tau, epoch, rng)
-    delta_b = basis_for(cfg.clock_b, species)
-    theta_exp = canonicalize(delta_b.delta - freq.omega * nominal)
+    (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
+    phi_common = transport_phase(cfg.transport, species, freq, rng)
+    est, counts = _read_out(cfg, species, freq, blocks, phi_common, tau, rng)
+    theta_exp = canonicalize(basis_for(cfg.clock_b, species).delta - freq.omega * nominal)
     return wrap_pi(theta_exp - est.theta_hat), est, phi_common, counts
 
 
@@ -254,10 +250,8 @@ def _phase_residual(cfg, species, freq, epoch, tau, nominal, rng):
 def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """Single-species time-offset recovery (protocol steps 1-4)."""
     ((species, freq),) = cfg.species.items()
-    epoch, tau, nominal = _trigger_interval(cfg, rng)
-    residual, est, phi_common, counts = _phase_residual(
-        cfg, species, freq, epoch, tau, nominal, rng
-    )
+    tau, nominal = _trigger_interval(cfg, rng)
+    residual, est, phi_common, counts = _phase_residual(cfg, species, freq, tau, nominal, rng)
 
     truth = {
         "time_offset": tau - nominal,
@@ -286,14 +280,14 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     result by (beta2 - beta1)/(omega1 - omega2).
     """
     (sp1, f1), (sp2, f2) = cfg.species.items()
-    epoch, tau, nominal = _trigger_interval(cfg, rng)
+    tau, nominal = _trigger_interval(cfg, rng)
 
     truth = {"time_offset": tau - nominal, "rate_offset": cfg.clock_b.y}
     diagnostics = {}
     residuals = {}
     for species, freq in ((sp1, f1), (sp2, f2)):
         residuals[species], est, phi_common, counts = _phase_residual(
-            cfg, species, freq, epoch, tau, nominal, rng
+            cfg, species, freq, tau, nominal, rng
         )
         truth[f"phi_common_{species}"] = phi_common
         diagnostics[f"theta_hat_{species}"] = est.theta_hat
@@ -326,29 +320,22 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
     t1, t2 = cfg.epochs.b_measure
 
     t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
-    delta_a = basis_for(cfg.clock_a, species)
-    delta_b = basis_for(cfg.clock_b, species)
     n_half = cfg.ensemble_size // 2
     halves = (n_half, cfg.ensemble_size - n_half)
-
-    estimates: list[PhaseEstimate] = []
-    diagnostics = {}
     phi_common = transport_phase(cfg.transport, species, freq, rng)
-    at_collapse = imprint_phase(EquatorialState(delta_a.delta), phi_common)
     # a shuffled list couples the halves, so both are drawn at once; an honest
     # one is drawn half by half, after B's trigger for that half
     kept = _kept_lists(cfg, halves, rng) if cfg.shuffle_type_list else None
-    for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
-        t_meas = trigger_time(cfg.clock_b, epoch, rng)
-        tau = t_meas - t_collapse
-        blocks = kept[h] if kept else _kept_lists(cfg, (n_pairs,), rng)[0]
-        state = evolve(at_collapse, freq, tau)
-        rec0, rec1 = _measure_quadratures(cfg, state, blocks, delta_b, species, epoch, rng)
-        estimates.append(estimate_phase(rec0, rec1))
 
-    for i, est in enumerate(estimates, start=1):
-        diagnostics[f"theta_hat_{i}"] = est.theta_hat
-        diagnostics[f"sigma_theta_{i}"] = est.sigma_theta
+    estimates = []
+    diagnostics = {}
+    for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
+        tau = trigger_time(cfg.clock_b, epoch, rng) - t_collapse
+        blocks = kept[h] if kept else _kept_lists(cfg, (n_pairs,), rng)[0]
+        est, _ = _read_out(cfg, species, freq, blocks, phi_common, tau, rng)
+        estimates.append(est)
+        diagnostics[f"theta_hat_{h + 1}"] = est.theta_hat
+        diagnostics[f"sigma_theta_{h + 1}"] = est.sigma_theta
     rate = estimate_rate(estimates[0], t1, estimates[1], t2, freq)
     diagnostics["sigma_rate"] = rate.sigma_y
 

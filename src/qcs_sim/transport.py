@@ -58,7 +58,7 @@ def beta_for(model: TransportModel, species: str) -> float:
         ) from None
 
 
-def transport_phase(model: TransportModel, species: str, freq: Frequency, rng=None) -> float:
+def transport_phase(model: TransportModel, species: str, freq: Frequency, rng) -> float:
     """Draw the phase one transported ensemble shares, phi_common, in rad.
 
     phi_common is the deterministic part alpha * omega + beta[species] plus
@@ -67,8 +67,6 @@ def transport_phase(model: TransportModel, species: str, freq: Frequency, rng=No
     """
     phi_common = model.alpha * freq.omega + beta_for(model, species)
     if model.sigma_common > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma_common > 0")
         phi_common += model.sigma_common * rng.standard_normal()
     return phi_common
 
@@ -78,7 +76,7 @@ def apply_transport(
     model: TransportModel,
     species: str,
     freq: Frequency,
-    rng=None,
+    rng,
 ):
     """Imprint the transport phase on one B-side pair.
 
@@ -90,7 +88,5 @@ def apply_transport(
     """
     phi = phi_common = transport_phase(model, species, freq, rng)
     if model.sigma_pair > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma_pair > 0")
         phi = phi_common + model.sigma_pair * rng.standard_normal()
     return imprint_phase(state, phi), phi_common

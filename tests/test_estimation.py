@@ -26,7 +26,7 @@ TWO_PI = 2 * math.pi
 HALF_PI = math.pi / 2
 
 
-def quadrature_records(theta, delta0, n0, n1, rng=None, epoch=0.0, species="cs"):
+def quadrature_records(theta, delta0, n0, n1, rng=None):
     """Records for one state read out at delta0 and delta0 + pi/2.
 
     With rng=None the counts are the exact expectations (idealized records).
@@ -39,8 +39,8 @@ def quadrature_records(theta, delta0, n0, n1, rng=None, epoch=0.0, species="cs")
     else:
         k0, k1 = int(rng.binomial(n0, p0)), int(rng.binomial(n1, p1))
     return (
-        MeasurementRecord(n0, k0, b0, epoch, species),
-        MeasurementRecord(n1, k1, b1, epoch, species),
+        MeasurementRecord(n0, k0, b0),
+        MeasurementRecord(n1, k1, b1),
     )
 
 
@@ -63,11 +63,11 @@ def test_wrap_pi_range_and_edges():
 def test_record_validation():
     b = BasisPhase(0.0)
     with pytest.raises(ValueError):
-        MeasurementRecord(0, 0, b, 0.0, "cs")
+        MeasurementRecord(0, 0, b)
     with pytest.raises(ValueError):
-        MeasurementRecord(10, 11, b, 0.0, "cs")
+        MeasurementRecord(10, 11, b)
     with pytest.raises(ValueError):
-        MeasurementRecord(10, -1, b, 0.0, "cs")
+        MeasurementRecord(10, -1, b)
 
 
 # -- phase estimation ----------------------------------------------------------------
@@ -76,8 +76,8 @@ def test_record_validation():
 def test_noiseless_plugin_is_exact_at_quarter_turn():
     # theta = pi/2, delta = 0: exact counts are k0/n0 = cos^2(pi/4) = 1/2 and
     # k1/n1 = 1, so c = 0, s = 1 and atan2 hits the axis exactly
-    rec0 = MeasurementRecord(1000, 500, BasisPhase(0.0), 0.0, "cs")
-    rec1 = MeasurementRecord(1000, 1000, BasisPhase(HALF_PI), 0.0, "cs")
+    rec0 = MeasurementRecord(1000, 500, BasisPhase(0.0))
+    rec1 = MeasurementRecord(1000, 1000, BasisPhase(HALF_PI))
     est = estimate_phase(rec0, rec1)
     assert est.theta_hat == HALF_PI
     assert est.sigma_theta > 0.0
@@ -134,20 +134,13 @@ def test_sigma_positive_even_at_count_extremes():
 
 def test_bases_must_be_in_quadrature():
     b0, b1 = BasisPhase(0.0), BasisPhase(HALF_PI + 1e-6)
-    rec0 = MeasurementRecord(1000, 500, b0, 0.0, "cs")
-    rec1 = MeasurementRecord(1000, 500, b1, 0.0, "cs")
+    rec0 = MeasurementRecord(1000, 500, b0)
+    rec1 = MeasurementRecord(1000, 500, b1)
     with pytest.raises(ValueError, match="quadrature"):
         estimate_phase(rec0, rec1)
     # tolerance admits 1e-10 of slack
-    rec1b = MeasurementRecord(1000, 400, BasisPhase(HALF_PI + 1e-10), 0.0, "cs")
+    rec1b = MeasurementRecord(1000, 400, BasisPhase(HALF_PI + 1e-10))
     estimate_phase(rec0, rec1b)
-
-
-def test_species_mismatch_rejected():
-    rec0, _ = quadrature_records(0.2, 0.0, 1000, 1000)
-    _, rec1 = quadrature_records(0.2, 0.0, 1000, 1000, species="rb")
-    with pytest.raises(ValueError, match="species"):
-        estimate_phase(rec0, rec1)
 
 
 def test_insufficient_samples():
@@ -158,8 +151,8 @@ def test_insufficient_samples():
 
 def test_degenerate_counts_raise():
     b0, b1 = BasisPhase(0.0), BasisPhase(HALF_PI)
-    rec0 = MeasurementRecord(1_000_000, 500_000, b0, 0.0, "cs")
-    rec1 = MeasurementRecord(1_000_000, 500_000, b1, 0.0, "cs")
+    rec0 = MeasurementRecord(1_000_000, 500_000, b0)
+    rec1 = MeasurementRecord(1_000_000, 500_000, b1)
     with pytest.raises(DegenerateCountsError):
         estimate_phase(rec0, rec1)
 
@@ -173,7 +166,7 @@ def rate_records(y, omega, t1, t2, n=100_000, common_phase=0.0):
     for t in (t1, t2):
         tau = t / (1 + y)  # true elapsed time when the local clock shows t
         theta = common_phase - omega * tau
-        rec0, rec1 = quadrature_records(theta, 0.0, n, n, epoch=t)
+        rec0, rec1 = quadrature_records(theta, 0.0, n, n)
         ests.append(estimate_phase(rec0, rec1))
     return ests
 

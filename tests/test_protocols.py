@@ -63,7 +63,7 @@ def test_transport_bias_magnitude_matches_esct_error():
         noiseless=True,
     )
     r = run_qcs_basic(cfg, trial_stream(0, 0))
-    trip_error = esct_transfer(cfg.trip)
+    trip_error = esct_transfer(cfg.trip, trial_stream(0, 1))
     assert relerr(abs(r.error["time_offset"]), trip_error) < 1e-9
 
 
@@ -121,7 +121,7 @@ ORACLE_CASES = {
 def _production_counts(cfg, sizes, rng):
     """(n0, k0, n1, k1) per sub-ensemble from the simulator's count sampler."""
     state, basis = EquatorialState(ORACLE_PHASES[0]), BasisPhase(0.0)
-    records = [protocols._measure_quadratures(cfg, state, blocks, basis, "cs", 0.0, rng)
+    records = [protocols._measure_quadratures(cfg, state, blocks, basis, rng)
                for blocks in protocols._kept_lists(cfg, sizes, rng)]
     return [(r0.n, r0.k_pos, r1.n, r1.k_pos) for r0, r1 in records]
 

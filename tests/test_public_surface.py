@@ -1,9 +1,14 @@
-"""README's "Library use" block runs, and it names exactly `qcs_sim.__all__`."""
+"""The public surface: README's "Library use" block runs and names exactly
+`qcs_sim.__all__`, and every exported error is a `QcsSimError` with a fixed
+CLI exit code."""
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import qcs_sim
+from qcs_sim import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +27,29 @@ def test_readme_library_use_runs_and_names_every_public_name(tmp_path, monkeypat
         for alias in node.names
     }
     assert documented == set(qcs_sim.__all__)
+
+
+EXPORTED_ERRORS = sorted(
+    name for name in qcs_sim.__all__
+    if isinstance(getattr(qcs_sim, name), type) and issubclass(getattr(qcs_sim, name), Exception)
+)
+
+
+def test_every_exported_error_derives_from_qcs_sim_error():
+    assert EXPORTED_ERRORS == ["AmbiguityError", "ConfigError", "DegenerateCountsError",
+                               "InsufficientSamplesError", "QcsSimError"]
+    for name in EXPORTED_ERRORS:
+        assert issubclass(getattr(qcs_sim, name), qcs_sim.QcsSimError), name
+
+
+@pytest.mark.parametrize("name,code", [("AmbiguityError", 2), ("ConfigError", 2),
+                                       ("DegenerateCountsError", 3),
+                                       ("InsufficientSamplesError", 2)])
+def test_cli_exit_code_of_each_error(name, code, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise getattr(qcs_sim, name)("boom")
+
+    monkeypatch.setattr(cli, "load_config", lambda path: None)
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert cli.main(["qcs", "--config", "unused.json", "--out", "unused"]) == code
+    assert "boom" in capsys.readouterr().err
