@@ -7,7 +7,7 @@
 Subcommands: qcs, beat, syntonize, esct, compare, sweep. Only the sweep
 subcommand takes --protocol, to choose what runs at each grid point, and the
 --sweep-param/--sweep-values grid. --seed/--trials override the values stored
-in the config file.
+in the config file, once, through ScenarioConfig.with_run.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 runtime error.
 """

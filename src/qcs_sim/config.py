@@ -63,7 +63,7 @@ class Epochs:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one experiment needs, minus the CLI-level seed override.
+    """Everything one experiment needs; `with_run` applies a run's overrides.
 
     `species` maps species id -> transition frequency; its insertion order is
     meaningful (the first two species define the beat pair).
@@ -127,6 +127,11 @@ class ScenarioConfig:
                     "noiseless mode requires zero noise parameters; offending: "
                     + ", ".join(noisy)
                 )
+
+    def with_run(self, seed=None, trials=None) -> "ScenarioConfig":
+        """A copy with a run's overrides (None keeps the stored value), checked like the fields."""
+        given = {k: _int(v, k) for k, v in (("seed", seed), ("trials", trials)) if v is not None}
+        return dataclasses.replace(self, **given) if given else self
 
     # -- (de)serialization ------------------------------------------------
 

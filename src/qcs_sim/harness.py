@@ -27,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig, _int
+from .config import ScenarioConfig
 from .errors import ConfigError
-from .protocols import LANE_BASELINE, LANE_PRIMARY, Protocol, require_count, run_trials
+from .protocols import LANE_BASELINE, Protocol, require_count, run_trials
 from .rng import RNG_ALGORITHM
 
 ARTIFACT_VERSION = "0.2.0"
@@ -111,7 +111,10 @@ MATCHED_MODEL_RTOL = 1e-9
 
 
 def _require_matched_models(cfg: ScenarioConfig):
-    ((_, freq),) = cfg.species.items()
+    ((species, freq),) = cfg.species.items()
+    if cfg.transport.beta_by_species[species] != 0.0:
+        raise ConfigError(f"transport.beta_by_species.{species} must be 0 for compare: "
+                          "a clock trip has no species-dependent phase")
     implied_jitter = cfg.transport.sigma_common / freq.omega
     alpha_gap = abs(cfg.trip.alpha - cfg.transport.alpha)
     jitter_gap = abs(cfg.trip.jitter - implied_jitter)
@@ -126,18 +129,18 @@ def _require_matched_models(cfg: ScenarioConfig):
         )
 
 
-def _run(name: str, cfg: ScenarioConfig, seed, trials) -> tuple[list, dict]:
+def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
     """Run one protocol, or the compare pairing, and return (results, summary).
 
     For compare, results holds the qcs lane's trials, then the esct lane's.
     """
     if name != "compare":
-        results = run_trials(Protocol(name), cfg, seed, trials)
+        results = run_trials(Protocol(name), cfg)
         return results, summarize_trials(results)
     require_count("compare", "configured species", len(cfg.species), 1)
     _require_matched_models(cfg)
-    qcs = run_trials(Protocol.QCS_BASIC, cfg, seed, trials, lane=LANE_PRIMARY)
-    esct = run_trials(Protocol.ESCT_BASELINE, cfg, seed, trials, lane=LANE_BASELINE)
+    qcs = run_trials(Protocol.QCS_BASIC, cfg)
+    esct = run_trials(Protocol.ESCT_BASELINE, cfg, lane=LANE_BASELINE)
     stats_qcs = _stats([r.error["time_offset"] for r in qcs])
     stats_esct = _stats([r.error["time_offset"] for r in esct])
     rms_esct = stats_esct["rms"]
@@ -161,7 +164,7 @@ def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None) -> dict:
     the entangled one differs only by its binomial estimation floor, which is
     reported separately.
     """
-    return _run("compare", cfg, seed, trials)[1]
+    return _run("compare", cfg.with_run(seed, trials))[1]
 
 
 def _write_json(path, payload):
@@ -224,11 +227,11 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
     return ScenarioConfig.from_dict(doc)
 
 
-def run_sweep(protocol_name, cfg, seed, trials, out_dir, param, values) -> dict:
-    """Run one protocol per grid point; emit a plot-ready table."""
+def run_sweep(protocol_name, cfg, param, values) -> list[dict]:
+    """Run one protocol per grid point; return one plot-ready row per point."""
     rows = []
     for value in values:
-        _, summary = _run(protocol_name, apply_sweep_value(cfg, param, value), seed, trials)
+        _, summary = _run(protocol_name, apply_sweep_value(cfg, param, value))
         if protocol_name == "compare":
             point = {k: summary[k] for k in ("rms_qcs", "rms_esct", "ratio")}
         else:
@@ -241,20 +244,7 @@ def run_sweep(protocol_name, cfg, seed, trials, out_dir, param, values) -> dict:
                 "ci95_halfwidth": stats["ci95_halfwidth"],
             }
         rows.append({"param": param, "value": value, "trials": summary["trials"], **point})
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = list(rows[0])
-    _write_csv(out / "sweep.csv", header, ([row[k] for k in header] for row in rows))
-    summary = {"protocol": protocol_name, "param": param, "points": rows}
-    _write_json(out / "summary.json", summary)
-    manifest = RunManifest(
-        "sweep", config_sha256(cfg), seed, {protocol_name: trials},
-        {"sweep": "sweep.csv", "summary": "summary.json"},
-        sweep={"param": param, "values": list(values), "protocol": protocol_name},
-    )
-    _write_json(out / "manifest.json", asdict(manifest))
-    return summary
+    return rows
 
 
 # -- top-level entry ----------------------------------------------------------
@@ -274,36 +264,42 @@ def run_experiment(
 
     `protocol`, `sweep_param` and `sweep_values` belong to the sweep
     subcommand; any other subcommand given one raises a ConfigError naming
-    it. Returns the summary record. Raises ConfigError/ValueError for invalid
+    it. `seed` and `trials` override the config's once, through
+    `cfg.with_run`; the manifest hashes the config as given. Returns the
+    summary record. Raises ConfigError/ValueError for invalid
     configurations or arguments (CLI exit 2) and lets I/O errors propagate
     (CLI exit 3).
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    seed = cfg.seed if seed is None else _int(seed, "seed")
-    trials = cfg.trials if trials is None else _int(trials, "trials")
+    run_cfg = cfg.with_run(seed, trials)
+    out = Path(out_dir)
 
     if subcommand == "sweep":
         if protocol not in SWEEP_PROTOCOLS:
             raise ConfigError("sweep requires a valid --protocol")
         if not sweep_param or not sweep_values:
             raise ConfigError("sweep requires --sweep-param and --sweep-values")
-        return run_sweep(protocol, cfg, seed, trials, out_dir, sweep_param, list(sweep_values))
-    sweep_args = {"protocol": protocol, "sweep_param": sweep_param, "sweep_values": sweep_values}
-    for name, value in sweep_args.items():
-        if value is not None:
-            raise ConfigError(f"{name} is a sweep argument; {subcommand!r} takes no {name}")
-
-    results, summary = _run(subcommand, cfg, seed, trials)
-    summary = {"subcommand": subcommand, "seed": seed, **summary}
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_results_csv(out / "results.csv", results)
+        sweep = {"param": sweep_param, "values": list(sweep_values), "protocol": protocol}
+        rows = run_sweep(protocol, run_cfg, sweep_param, sweep["values"])
+        summary = {"protocol": protocol, "param": sweep_param, "points": rows}
+        table, trial_counts = "sweep", {protocol: run_cfg.trials}
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "sweep.csv", list(rows[0]), (list(row.values()) for row in rows))
+    else:
+        sweep_args = {"protocol": protocol, "sweep_param": sweep_param,
+                      "sweep_values": sweep_values}
+        for name, value in sweep_args.items():
+            if value is not None:
+                raise ConfigError(f"{name} is a sweep argument; {subcommand!r} takes no {name}")
+        results, summary = _run(subcommand, run_cfg)
+        summary = {"subcommand": subcommand, "seed": run_cfg.seed, **summary}
+        table, sweep = "results", None
+        trial_counts = {r.protocol.value: run_cfg.trials for r in results}
+        out.mkdir(parents=True, exist_ok=True)
+        write_results_csv(out / "results.csv", results)
     _write_json(out / "summary.json", summary)
-    manifest = RunManifest(
-        subcommand, config_sha256(cfg), seed, {r.protocol.value: trials for r in results},
-        {"results": "results.csv", "summary": "summary.json"},
-    )
+    manifest = RunManifest(subcommand, config_sha256(cfg), run_cfg.seed, trial_counts,
+                           {table: f"{table}.csv", "summary": "summary.json"}, sweep=sweep)
     _write_json(out / "manifest.json", asdict(manifest))
     return summary

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .clocks import basis_for, esct_transfer, trigger_time
-from .config import ScenarioConfig, _int
-from .errors import ConfigError
+from .config import ScenarioConfig
 from .estimation import (
     MeasurementRecord,
     check_rate_ambiguity,
@@ -364,14 +363,12 @@ def run_trials(protocol: Protocol, cfg: ScenarioConfig, seed=None, trials=None,
                lane: int = LANE_PRIMARY) -> list[TrialResult]:
     """Run `trials` independent trials, one Philox stream per (seed, trial, lane).
 
+    `seed` and `trials` override the config's through `cfg.with_run`.
     Results come back in trial_id order regardless of any execution order, so
     a parallel driver would merge to the same stream.
     """
-    seed = cfg.seed if seed is None else _int(seed, "seed")
-    trials = cfg.trials if trials is None else _int(trials, "trials")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    cfg = cfg.with_run(seed, trials)
     protocol.validate(cfg)
     runner = _RUNNERS[protocol]
-    streams = trial_streams(seed, trials, lane)
+    streams = trial_streams(cfg.seed, cfg.trials, lane)
     return [runner(cfg, rng, trial_id=i) for i, rng in enumerate(streams)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcs_sim import ConfigError, Protocol, run_experiment, run_trials
+from qcs_sim import ConfigError, Protocol, compare_equivalence, run_experiment, run_trials
 from qcs_sim.cli import main
 from qcs_sim.harness import apply_sweep_value, config_sha256
 
@@ -160,6 +160,53 @@ def test_library_entry_points_reject_non_integral_seed_and_trials(tmp_path, fiel
     with pytest.raises(ConfigError, match="trials"):
         run_trials(Protocol.QCS_BASIC, cfg, seed=2, trials=0)
     assert len(run_trials(Protocol.QCS_BASIC, cfg, seed=2.0, trials=3.0)) == 3
+
+
+def test_sweep_over_trials_runs_each_point_with_its_own_count(tmp_path):
+    cfg = one_species(ensemble_size=5000, trials=3)
+    run_experiment("sweep", cfg, tmp_path / "run", protocol="qcs",
+                   sweep_param="trials", sweep_values=[2.0, 5.0])
+    lines = (tmp_path / "run" / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    assert [(float(r["value"]), int(r["trials"])) for r in rows] == [(2.0, 2), (5.0, 5)]
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["trials"] == {"qcs": 3}  # the base count; each point has its own
+
+
+def test_sweep_over_seed_matches_standalone_runs(tmp_path):
+    cfg = one_species(ensemble_size=5000, trials=3)
+    summary = run_experiment("sweep", cfg, tmp_path / "sweep", protocol="qcs",
+                             sweep_param="seed", sweep_values=[1.0, 2.0])
+    for point in summary["points"]:
+        seed = int(point["value"])
+        alone = run_experiment("qcs", cfg, tmp_path / f"seed{seed}", seed=seed)
+        assert point["mean_error"] == alone["metrics"]["time_offset"]["mean"]
+
+
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_out_of_range_seed_override_is_a_config_error(tmp_path, capsys, seed):
+    cfg = one_species(ensemble_size=5000, trials=2)
+    with pytest.raises(ConfigError, match="seed"):
+        run_experiment("qcs", cfg, tmp_path / "x", seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        run_trials(Protocol.QCS_BASIC, cfg, seed=seed)
+    path = write_config(tmp_path, cfg)
+    assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "x"),
+                 "--seed", str(seed)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_compare_rejects_a_species_dependent_transport_phase(tmp_path, capsys):
+    # the clock trip has no counterpart to beta, so the models cannot match
+    cfg = apply_sweep_value(matched_compare(ensemble_size=5000, trials=2),
+                            "transport.beta_by_species.cs", 1.0)
+    with pytest.raises(ConfigError, match=r"transport\.beta_by_species\.cs"):
+        compare_equivalence(cfg, seed=3, trials=2)
+    path = write_config(tmp_path, cfg)
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "transport.beta_by_species.cs" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # -- CLI ------------------------------------------------------------------------
