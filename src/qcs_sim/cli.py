@@ -22,10 +22,21 @@ from .harness import SUBCOMMANDS, SWEEP_PROTOCOLS, run_experiment
 
 
 def _parse_values(text: str) -> list[float]:
+    """The grid as floats; an integer entry that no float holds exactly is a ConfigError."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in tokens]
     except ValueError:
         raise ConfigError(f"--sweep-values must be comma-separated numbers, got {text!r}")
+    for tok, value in zip(tokens, values):
+        try:
+            exact = int(tok)
+        except ValueError:  # not an integer literal
+            continue
+        if exact != value:
+            raise ConfigError(f"--sweep-values entry {tok!r} is an integer that no float "
+                              f"holds exactly; it would run as {value!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ class ClockModel:
     """A site-local clock/oscillator.
 
     x0        initial time offset vs. true time, s
-    y         fractional frequency (rate) offset, dimensionless
+    y         fractional frequency (rate) offset, dimensionless (> -1)
     sigma_read  white timing noise per read, s (>= 0)
     delta_by_species  oscillator basis phase per interrogated species; a fixed
                       unknown of the apparatus, not of the measurement event
@@ -34,6 +34,8 @@ class ClockModel:
         for name in ("x0", "y", "sigma_read"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.y <= -1.0:
+            raise ValueError(f"y must be > -1, got {self.y}")
         if self.sigma_read < 0.0:
             raise ValueError(f"sigma_read must be >= 0, got {self.sigma_read}")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -156,7 +155,7 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
     }
 
 
-def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None) -> dict:
+def compare_equivalence(cfg: ScenarioConfig) -> dict:
     """Head-to-head RMS time error of the entangled protocol vs. the clock trip.
 
     Requires matched models (trip.alpha = transport.alpha and trip.jitter =
@@ -164,27 +163,13 @@ def compare_equivalence(cfg: ScenarioConfig, seed=None, trials=None) -> dict:
     the entangled one differs only by its binomial estimation floor, which is
     reported separately.
     """
-    return _run("compare", cfg.with_run(seed, trials))[1]
+    return _run("compare", cfg)[1]
 
 
 def _write_json(path, payload):
     Path(path).write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record: everything needed to regenerate a run's bytes."""
-
-    subcommand: str
-    config_sha256: str
-    seed: int
-    trials: dict[str, int]
-    outputs: dict[str, str]
-    artifact_version: str = ARTIFACT_VERSION
-    rng_algorithm: str = RNG_ALGORITHM
-    sweep: dict | None = field(default=None)
 
 
 # -- sweep parameter plumbing ------------------------------------------------
@@ -299,7 +284,9 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv(out / "results.csv", results)
     _write_json(out / "summary.json", summary)
-    manifest = RunManifest(subcommand, config_sha256(cfg), run_cfg.seed, trial_counts,
-                           {table: f"{table}.csv", "summary": "summary.json"}, sweep=sweep)
-    _write_json(out / "manifest.json", asdict(manifest))
+    outputs = {table: f"{table}.csv", "summary": "summary.json"}
+    _write_json(out / "manifest.json", {
+        "subcommand": subcommand, "config_sha256": config_sha256(cfg), "seed": run_cfg.seed,
+        "trials": trial_counts, "outputs": outputs, "artifact_version": ARTIFACT_VERSION,
+        "rng_algorithm": RNG_ALGORITHM, "sweep": sweep})
     return summary

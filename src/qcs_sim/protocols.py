@@ -53,8 +53,7 @@ from .rng import trial_streams
 from .transport import apply_transport  # noqa: F401  unused; perfbench's tracer looks it up here
 from .transport import transport_phase
 
-#: Stream lanes for runs that interleave two protocols.
-LANE_PRIMARY = 0
+#: Stream lane of the second protocol in runs that interleave two.
 LANE_BASELINE = 1
 
 _COUNT_WORDS = {1: "one", 2: "two"}
@@ -69,35 +68,33 @@ def require_count(label: str, what: str, got: int, want: int | None):
 class Protocol(str, Enum):
     """The protocol table: every fact about a protocol is written here once.
 
-    value      CLI subcommand name
+    value      CLI subcommand name, which rejection messages also use
     error_key  error key the protocol is judged on (sweeps report it)
-    label      how rejection messages name the protocol
     n_species  configured species it requires (None: any)
     n_epochs   measurement epochs it requires (None: any; it reads the first)
     """
 
-    QCS_BASIC = ("qcs", "time_offset", "basic protocol", 1, None)
-    QCS_BEAT = ("beat", "time_offset", "beat protocol", 2, None)
-    QCS_SYNTONIZE = ("syntonize", "rate_offset", "syntonization", 1, 2)
-    ESCT_BASELINE = ("esct", "time_offset", "esct", None, None)
+    QCS_BASIC = ("qcs", "time_offset", 1, None)
+    QCS_BEAT = ("beat", "time_offset", 2, None)
+    QCS_SYNTONIZE = ("syntonize", "rate_offset", 1, 2)
+    ESCT_BASELINE = ("esct", "time_offset", None, None)
 
-    def __new__(cls, name, error_key, label, n_species, n_epochs):
+    def __new__(cls, name, error_key, n_species, n_epochs):
         member = str.__new__(cls, name)
         member._value_ = name
         member.error_key = error_key
-        member.label = label
         member.n_species = n_species
         member.n_epochs = n_epochs
         return member
 
     def validate(self, cfg: ScenarioConfig):
         """Reject a config this protocol cannot run; once per run, before any trial."""
-        require_count(self.label, "configured species", len(cfg.species), self.n_species)
-        require_count(self.label, "measurement epochs", len(cfg.epochs.b_measure), self.n_epochs)
+        require_count(self.value, "configured species", len(cfg.species), self.n_species)
+        require_count(self.value, "measurement epochs", len(cfg.epochs.b_measure), self.n_epochs)
         if self is Protocol.QCS_BEAT:
             f1, f2 = cfg.species.values()
             if f1.omega == f2.omega:
-                raise ValueError("beat protocol requires omega1 != omega2 (beat undefined)")
+                raise ValueError("beat requires omega1 != omega2 (beat undefined)")
         elif self is Protocol.QCS_SYNTONIZE:
             (freq,) = cfg.species.values()
             t1, t2 = cfg.epochs.b_measure
@@ -359,15 +356,12 @@ _RUNNERS = {
 }
 
 
-def run_trials(protocol: Protocol, cfg: ScenarioConfig, seed=None, trials=None,
-               lane: int = LANE_PRIMARY) -> list[TrialResult]:
-    """Run `trials` independent trials, one Philox stream per (seed, trial, lane).
+def run_trials(protocol: Protocol, cfg: ScenarioConfig, lane: int = 0) -> list[TrialResult]:
+    """Run cfg.trials independent trials, one Philox stream per (cfg.seed, trial, lane).
 
-    `seed` and `trials` override the config's through `cfg.with_run`.
     Results come back in trial_id order regardless of any execution order, so
     a parallel driver would merge to the same stream.
     """
-    cfg = cfg.with_run(seed, trials)
     protocol.validate(cfg)
     runner = _RUNNERS[protocol]
     streams = trial_streams(cfg.seed, cfg.trials, lane)

@@ -18,18 +18,17 @@ from collections.abc import Iterator
 import numpy as np
 
 from .config import _int
+from .errors import ConfigError
 
 RNG_ALGORITHM = "numpy.random.Philox(4x64-10); key=seed, counter=[0,0,lane,trial_id]"
 
 
 def trial_stream(seed: int, trial_id: int, lane: int = 0) -> np.random.Generator:
-    """Independent Generator for one trial of one protocol lane."""
-    seed, trial_id, lane = _int(seed, "seed"), _int(trial_id, "trial_id"), _int(lane, "lane")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a u64, got {seed}")
-    if trial_id < 0 or lane < 0:
-        raise ValueError("trial_id and lane must be >= 0")
-    bg = np.random.Philox(key=seed, counter=[0, 0, lane, trial_id])
+    """Independent Generator for one trial of one protocol lane; each argument is a u64."""
+    for name, value in (("seed", seed), ("trial_id", trial_id), ("lane", lane)):
+        if not 0 <= _int(value, name) < 2**64:
+            raise ConfigError(f"{name} must be a u64, got {value}")
+    bg = np.random.Philox(key=int(seed), counter=[0, 0, int(lane), int(trial_id)])
     return np.random.Generator(bg)
 
 

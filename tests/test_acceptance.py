@@ -88,7 +88,7 @@ def test_criterion_4_esct_equivalence_over_jitter_sweep():
     ratios = {}
     for jitter in (1e-10, 1e-9, 1e-8):
         cfg = matched_compare(alpha=5e-9, jitter=jitter)
-        summary = compare_equivalence(cfg, seed=404, trials=1000)
+        summary = compare_equivalence(cfg.with_run(seed=404, trials=1000))
         ratios[jitter] = summary["ratio"]
     ok = all(0.9 <= r <= 1.1 for r in ratios.values())
     detail = ", ".join(f"jitter={j:g}s -> ratio={r:.4f}" for j, r in ratios.items())
@@ -137,7 +137,7 @@ def test_criterion_6_syntonization_transport_invariance():
     samples = {}
     for phi in (0.0, 2.0, 4.0):
         cfg = syntonize(y=1e-12, phi_common=phi)
-        results = run_trials(Protocol.QCS_SYNTONIZE, cfg, seed=606, trials=200)
+        results = run_trials(Protocol.QCS_SYNTONIZE, cfg.with_run(seed=606, trials=200))
         samples[phi] = np.array([r.estimate["rate_offset"] for r in results])
 
     means_ok = True

@@ -93,6 +93,7 @@ def test_missing_species_is_named():
 @pytest.mark.parametrize("path,value,message", [
     ("transport.sigma_common", -1.0, "transport.sigma_common must be >= 0"),
     ("clock_b.sigma_read", -1.0, "clock_b.sigma_read must be >= 0"),
+    ("clock_b.y", -1.0, "clock_b.y must be > -1"),
     ("clock_a.delta_by_species.cs", math.nan, "clock_a.delta_by_species.cs: delta must be finite"),
     ("transport.beta_by_species.cs", math.inf, "transport.beta_by_species.cs must be finite"),
     ("trip.duration", 0.0, "trip.duration must be > 0"),
@@ -137,7 +138,7 @@ def test_basic_trials_at_the_ensemble_floor_complete():
     # m ~ Bin(N, 1/2) type-II pairs; the floor keeps a quadrature below
     # MIN_SAMPLES to ~5e-10 per trial, so 200 trials should all estimate
     cfg = ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=MIN_ENSEMBLE_PER_EPOCH))
-    assert len(run_trials(Protocol.QCS_BASIC, cfg, seed=0, trials=200)) == 200
+    assert len(run_trials(Protocol.QCS_BASIC, cfg.with_run(seed=0, trials=200))) == 200
 
 
 def test_shuffled_ensemble_stays_below_hypergeometric_limit():

@@ -20,12 +20,14 @@ SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+RATE = st.floats(min_value=-1.0, exclude_min=True, allow_infinity=False)
 SPECIES_IDS = st.lists(st.text("abcXYZ019_", min_size=1, max_size=4),
                        min_size=1, max_size=3, unique=True)
 
-#: Fields that must be >= 0 (or > 0); any other number may be negative.
-NONNEGATIVE_FIELDS = {"species", "sigma_read", "sigma_common", "sigma_pair", "duration",
-                      "jitter", "ensemble_size", "seed", "trials"}
+#: Fields that must be >= 0 (or > 0), and a clock rate y, which must be > -1:
+#: -1 is out of range for each. Any other number may be negative.
+MINUS_ONE_INVALID = {"species", "sigma_read", "sigma_common", "sigma_pair", "duration",
+                     "jitter", "ensemble_size", "seed", "trials", "y"}
 #: Maps keyed by species id; an entry is a value of the map's field.
 SPECIES_MAPS = {"species", "delta_by_species", "beta_by_species"}
 
@@ -46,7 +48,7 @@ def documents(draw):
 
     def clock():
         return _section(draw, {"delta_by_species": per_species(FINITE)},
-                        {"x0": FINITE, "y": FINITE, "sigma_read": noise})
+                        {"x0": FINITE, "y": RATE, "sigma_read": noise})
 
     b_measure = draw(st.lists(FINITE, min_size=1, max_size=3, unique=True).map(sorted))
     doc = {
@@ -95,7 +97,7 @@ def _malformed(path, value):
     if isinstance(value, dict):
         return [[]]
     bad = ["x", math.nan, math.inf, -math.inf]
-    if _field(path) in NONNEGATIVE_FIELDS:
+    if _field(path) in MINUS_ONE_INVALID:
         bad.append(-1)
     return bad
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qcs_sim import ConfigError, Protocol, compare_equivalence, run_experiment, run_trials
-from qcs_sim.cli import main
+from qcs_sim.cli import _parse_values, main
 from qcs_sim.harness import apply_sweep_value, config_sha256
 
 from scenarios import OMEGA_CS, matched_compare, one_species
@@ -156,10 +156,10 @@ def test_library_entry_points_reject_non_integral_seed_and_trials(tmp_path, fiel
     with pytest.raises(ConfigError, match=field):
         run_experiment("qcs", cfg, tmp_path / "x", **{"seed": 1, "trials": 2, field: 2.7})
     with pytest.raises(ConfigError, match=field):
-        run_trials(Protocol.QCS_BASIC, cfg, **{"seed": 2, "trials": 1, field: 1.5})
+        cfg.with_run(**{"seed": 2, "trials": 1, field: 1.5})
     with pytest.raises(ConfigError, match="trials"):
-        run_trials(Protocol.QCS_BASIC, cfg, seed=2, trials=0)
-    assert len(run_trials(Protocol.QCS_BASIC, cfg, seed=2.0, trials=3.0)) == 3
+        cfg.with_run(seed=2, trials=0)
+    assert len(run_trials(Protocol.QCS_BASIC, cfg.with_run(seed=2.0, trials=3.0))) == 3
 
 
 def test_sweep_over_trials_runs_each_point_with_its_own_count(tmp_path):
@@ -189,7 +189,7 @@ def test_out_of_range_seed_override_is_a_config_error(tmp_path, capsys, seed):
     with pytest.raises(ConfigError, match="seed"):
         run_experiment("qcs", cfg, tmp_path / "x", seed=seed)
     with pytest.raises(ConfigError, match="seed"):
-        run_trials(Protocol.QCS_BASIC, cfg, seed=seed)
+        cfg.with_run(seed=seed)
     path = write_config(tmp_path, cfg)
     assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "x"),
                  "--seed", str(seed)]) == 2
@@ -202,7 +202,7 @@ def test_compare_rejects_a_species_dependent_transport_phase(tmp_path, capsys):
     cfg = apply_sweep_value(matched_compare(ensemble_size=5000, trials=2),
                             "transport.beta_by_species.cs", 1.0)
     with pytest.raises(ConfigError, match=r"transport\.beta_by_species\.cs"):
-        compare_equivalence(cfg, seed=3, trials=2)
+        compare_equivalence(cfg.with_run(seed=3, trials=2))
     path = write_config(tmp_path, cfg)
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "transport.beta_by_species.cs" in capsys.readouterr().err
@@ -235,6 +235,34 @@ def test_cli_exit_code_2_on_config_problems(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["qcs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("y", (-1.0, -2.0))
+def test_cli_exit_code_2_on_a_clock_rate_at_or_below_minus_one(tmp_path, capsys, y):
+    # at y = -1 the clock stands still, below it runs backwards
+    doc = one_species(ensemble_size=5000, trials=2).to_dict()
+    doc["clock_b"]["y"] = y
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps(doc))
+    assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "clock_b.y must be > -1" in capsys.readouterr().err
+    valid = write_config(tmp_path, one_species(ensemble_size=5000, trials=2))
+    assert main(["sweep", "--protocol", "qcs", "--config", str(valid), "--out",
+                 str(tmp_path / "o"), "--sweep-param", "clock_b.y", "--sweep-values",
+                 f"0,{y}"]) == 2
+    assert "clock_b.y must be > -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_an_integer_sweep_value_no_float_holds(tmp_path, capsys):
+    path = write_config(tmp_path, one_species(ensemble_size=5000, trials=2))
+    for grid in ("1,9007199254740993", "-9007199254740993"):
+        assert main(["sweep", "--protocol", "qcs", "--config", str(path), "--out",
+                     str(tmp_path / "o"), "--sweep-param", "seed", "--sweep-values", grid]) == 2
+        err = capsys.readouterr().err
+        assert "--sweep-values" in err and grid.split(",")[-1] in err
+    assert not (tmp_path / "o").exists()
+    assert _parse_values("9007199254740992, 1.5,,1e20") == [2.0**53, 1.5, 1e20]
 
 
 @pytest.mark.parametrize("section,key", [("clock_a", "delta_by_species"),

@@ -80,7 +80,7 @@ def test_oscillator_phase_mismatch_biases_by_delta_over_omega():
 def test_basic_rejects_two_species():
     cfg = two_species()
     with pytest.raises(ValueError, match="one configured species"):
-        run_trials(Protocol.QCS_BASIC, cfg, seed=0, trials=1)
+        run_trials(Protocol.QCS_BASIC, cfg.with_run(seed=0, trials=1))
 
 
 def test_error_map_is_estimate_minus_truth():
@@ -235,10 +235,10 @@ def test_use_type_i_keeps_all_pairs():
 
 def test_beat_requires_two_distinct_species():
     with pytest.raises(ValueError, match="two configured species"):
-        run_trials(Protocol.QCS_BEAT, one_species(), seed=0, trials=1)
+        run_trials(Protocol.QCS_BEAT, one_species().with_run(seed=0, trials=1))
     cfg = two_species(species={"cs": OMEGA_CS, "rb": OMEGA_CS})
     with pytest.raises(ValueError, match="beat undefined"):
-        run_trials(Protocol.QCS_BEAT, cfg, seed=0, trials=1)
+        run_trials(Protocol.QCS_BEAT, cfg.with_run(seed=0, trials=1))
 
 
 def test_beat_succeeds_when_oscillator_phases_match():
@@ -300,10 +300,10 @@ def test_syntonize_invariant_under_common_phase():
 
 def test_syntonize_epoch_and_ambiguity_guards():
     with pytest.raises(ValueError, match="two measurement epochs"):
-        run_trials(Protocol.QCS_SYNTONIZE, one_species(), seed=0, trials=1)
+        run_trials(Protocol.QCS_SYNTONIZE, one_species().with_run(seed=0, trials=1))
     cfg = syntonize(y=1e-6, rad_advance=0.5, epochs={"a_start": 0.0, "b_measure": [1.0, 2.0]})
     with pytest.raises(AmbiguityError):
-        run_trials(Protocol.QCS_SYNTONIZE, cfg, seed=0, trials=1)
+        run_trials(Protocol.QCS_SYNTONIZE, cfg.with_run(seed=0, trials=1))
 
 
 def test_syntonize_pairwise_path_matches():
@@ -328,7 +328,8 @@ def test_esct_deterministic_error_and_jitter_std():
     cfg = one_species(trip={"duration": 10.0, "alpha": 5e-9})
     assert run_esct(cfg, trial_stream(0, 0)).error["time_offset"] == 5e-9
     cfg = one_species(trip={"duration": 10.0, "jitter": 1e-9})
-    errs = [r.error["time_offset"] for r in run_trials(Protocol.ESCT_BASELINE, cfg, 6, 10_000)]
+    results = run_trials(Protocol.ESCT_BASELINE, cfg.with_run(seed=6, trials=10_000))
+    errs = [r.error["time_offset"] for r in results]
     assert abs(np.std(errs, ddof=1) / 1e-9 - 1.0) < 0.05
 
 
@@ -342,8 +343,8 @@ def test_compare_requires_matched_models():
         trip={"duration": 10.0, "alpha": 4e-9, "jitter": 0.0},
     )
     with pytest.raises(ValueError, match="matched"):
-        compare_equivalence(bad, seed=0, trials=2)
-    summary = compare_equivalence(cfg, seed=7, trials=200)
+        compare_equivalence(bad.with_run(seed=0, trials=2))
+    summary = compare_equivalence(cfg.with_run(seed=7, trials=200))
     assert 0.9 < summary["ratio"] < 1.1
     assert summary["qcs_estimator_floor"] > 0.0
     assert summary["esct_floor"] == 0.0
@@ -351,7 +352,7 @@ def test_compare_requires_matched_models():
 
 def test_compare_zero_models_report_floors():
     cfg = matched_compare(alpha=0.0, jitter=0.0)
-    summary = compare_equivalence(cfg, seed=7, trials=50)
+    summary = compare_equivalence(cfg.with_run(seed=7, trials=50))
     assert summary["ratio"] is None
     assert summary["rms_esct"] == 0.0
     assert summary["rms_qcs"] < 5 * summary["qcs_estimator_floor"]
@@ -359,6 +360,6 @@ def test_compare_zero_models_report_floors():
 
 def test_trial_results_merge_in_trial_order():
     cfg = one_species(ensemble_size=5000)
-    results = run_trials(Protocol.QCS_BASIC, cfg, seed=3, trials=7)
+    results = run_trials(Protocol.QCS_BASIC, cfg.with_run(seed=3, trials=7))
     assert [r.trial_id for r in results] == list(range(7))
     assert all(r.protocol is Protocol.QCS_BASIC for r in results)

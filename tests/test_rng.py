@@ -56,9 +56,11 @@ def test_trial_stream_rejects_non_integers(args, field):
         trial_stream(*args)
 
 
-@pytest.mark.parametrize("args", [(-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1)])
+@pytest.mark.parametrize("args", [(-1, 0, 0), (2**64, 0, 0), (0, -1, 0), (0, 0, -1),
+                                  (0, 2**64, 0), (0, 0, 2**64)])
 def test_trial_stream_rejects_out_of_range_values(args):
-    with pytest.raises(ValueError):
+    (field,) = [name for name, value in zip(("seed", "trial_id", "lane"), args) if value]
+    with pytest.raises(ConfigError, match=f"^{field} must be a u64"):
         trial_stream(*args)
 
 
@@ -90,8 +92,9 @@ RUNS = {
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_trials_matches_one_fresh_stream_per_trial(name):
     protocol, cfg, lane = RUNS[name]
-    first = run_trials(protocol, cfg, seed=11, trials=TRIALS, lane=lane)
-    assert first == run_trials(protocol, cfg, seed=11, trials=TRIALS, lane=lane)
+    run_cfg = cfg.with_run(seed=11, trials=TRIALS)
+    first = run_trials(protocol, run_cfg, lane=lane)
+    assert first == run_trials(protocol, run_cfg, lane=lane)
     runner = _RUNNERS[protocol]
     assert first == [runner(cfg, trial_stream(11, i, lane), trial_id=i) for i in range(TRIALS)]
     generators = (np.random.Generator, np.random.BitGenerator)
