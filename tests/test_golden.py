@@ -62,6 +62,19 @@ def _cases():
             y=1e-12, ensemble_size=8000, trials=4, clock_a=noisy_a,
             clock_b={"y": 1e-12, "sigma_read": 1e-10, "delta_by_species": {"cs": 0.2}},
             transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
+        "syntonize-noiseless": (dict(subcommand="syntonize", seed=23), syntonize(
+            y=1e-12, ensemble_size=8000, trials=2, noiseless=True,
+            clock_a={"delta_by_species": {"cs": 0.1}},
+            clock_b={"y": 1e-12, "x0": 2e-8, "delta_by_species": {"cs": 0.2}},
+            transport={"alpha": 1e-9, "beta_by_species": {"cs": 2.0}})),
+        "syntonize-sigma-pair": (dict(subcommand="syntonize", seed=24), syntonize(
+            y=1e-12, ensemble_size=8000, trials=4, use_type_i=True,
+            transport={"sigma_common": 0.5, "sigma_pair": 0.3, "beta_by_species": {"cs": 2.0}})),
+        "beat-noiseless": (dict(subcommand="beat", seed=25), two_species(
+            ensemble_size=4000, trials=2, noiseless=True,
+            clock_a={"delta_by_species": {"cs": 0.1, "rb": 0.2}},
+            clock_b={"x0": 2e-8, "delta_by_species": {"cs": 0.3, "rb": 0.5}},
+            transport={"alpha": 1e-9, "beta_by_species": {"cs": 0.0, "rb": 0.3}})),
         "esct": (dict(subcommand="esct", seed=15), one_species(
             ensemble_size=4000, trials=6,
             trip={"duration": 10.0, "alpha": 5e-9, "jitter": 1e-9})),
@@ -97,6 +110,12 @@ GOLDEN = {
             "3abd13056642da067e77649556f94194e17a42427a88640046def3f1f450cb2a",
         "beat/manifest.json":
             "be3383d0874d4dc832c71681c4abd666683a4262ebf0b626e7a5c5d9b45c3c7b",
+        "beat-noiseless/results.csv":
+            "b94f1cfa59f9d644d5c915f0dd6ddb6f4e4defceae222385687763e9c8bff578",
+        "beat-noiseless/summary.json":
+            "97f50b1584aa77a8bbfb4527049c089f47b22a130e7899b9262f98200da80f50",
+        "beat-noiseless/manifest.json":
+            "d798d90ce5432ebaef47d097701ba00cf806246b62f504f8addfac53aafafeeb",
         "compare/results.csv":
             "460fba9a5c8ad1712a2a58cb9e3f80232da562fa3adfb6dc5c5abeffe6dd5059",
         "compare/summary.json":
@@ -157,6 +176,18 @@ GOLDEN = {
             "9aa2ed7a666df81991a4be4029ed225b68f717c8d5ea611fc4c207842542a0e1",
         "syntonize/manifest.json":
             "98f0fbd84f1deff50c5a6bc8de3a7cfe7a4dd645e44bfa40a591ce2070740864",
+        "syntonize-noiseless/results.csv":
+            "1da0a75a92045865c6a7b2c0a7c9329a230b4d7a052c1a5c65b64ef22b61c6ef",
+        "syntonize-noiseless/summary.json":
+            "50e3b3c45812984273e5b5f84c07a04e7266c8ade806f742d4bb9b6759184b7e",
+        "syntonize-noiseless/manifest.json":
+            "ebbb82192aac5786808b2fbefafb234f959569a9b6aef11f814a195f45c2d93e",
+        "syntonize-sigma-pair/results.csv":
+            "0298315752afbb45d69c03c1accd594aedea7cd4c0c1fd5c2ad224552d08f072",
+        "syntonize-sigma-pair/summary.json":
+            "fc37e3138e7d4feafd10026de70e8bcf47d0d0c08d205d57108903af8416cf09",
+        "syntonize-sigma-pair/manifest.json":
+            "c5c9979ab44e6761cc8e708bc9a1872fd0a196ef8a25acf4bdc516b1b1578fd9",
         "syntonize-read-noise/results.csv":
             "5f3ef1cfe8b2f878c64094a15c5cb3373d674244a3d9c2936742251530dc59b8",
         "syntonize-read-noise/summary.json":
