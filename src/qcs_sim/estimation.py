@@ -4,7 +4,8 @@ A single measurement basis only determines |cos| of the phase, leaving an
 unresolvable arccos branch. Each protocol measurement therefore consumes two
 sub-ensembles read out in quadrature bases (delta and delta + pi/2); atan2 of
 the two rescaled count fractions gives an unambiguous angle, and binomial
-delta-method propagation gives its standard error.
+delta-method propagation gives its standard error. `estimate_phase` takes
+raw counts and float basis phases, (n0, k0, delta0, n1, k1, delta1).
 """
 from __future__ import annotations
 
@@ -32,21 +33,11 @@ def wrap_pi(x: float) -> float:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Counts from one sub-ensemble measured in one basis.
-
-    n and k_pos are conceptually integers; floats are accepted so idealized
-    expected-count records can flow through the same estimator.
-    """
+    """Counts of one sub-ensemble in one basis; unused, the readout passes raw counts."""
 
     n: float
     k_pos: float
     basis: BasisPhase
-
-    def __post_init__(self):
-        if not (math.isfinite(self.n) and self.n >= 1):
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not (0 <= self.k_pos <= self.n):
-            raise ValueError(f"k_pos must be in [0, n], got {self.k_pos} of {self.n}")
 
 
 @dataclass(frozen=True)
@@ -73,39 +64,44 @@ def _smoothed_var(k, n):
     return 4.0 * p * (1.0 - p) / n
 
 
-def estimate_phase(rec0: MeasurementRecord, rec1: MeasurementRecord) -> PhaseEstimate:
-    """Recover the state phase from two quadrature measurement records.
+def estimate_phase(n0, k0, delta0: float, n1, k1, delta1: float) -> PhaseEstimate:
+    """Recover the state phase from the counts of two quadrature readouts.
 
-    rec0 is read out at basis phase delta, rec1 at delta + pi/2 (mod 2*pi,
-    within QUADRATURE_TOL). With c = 2*k0/n0 - 1 and s = 2*k1/n1 - 1 the
-    estimate is canonicalize(delta + atan2(s, c)); it is consistent, with
-    bias -> 0 as n grows. The angle only means something when both records
-    read out the same species at the same epoch; records carry neither, so
-    pairing them is the caller's job.
+    k0 of n0 pairs read pos at basis phase delta0, k1 of n1 at delta1 =
+    delta0 + pi/2 (mod 2*pi, within QUADRATURE_TOL); float (expected) counts
+    are accepted. With c = 2*k0/n0 - 1 and s = 2*k1/n1 - 1 the estimate is
+    canonicalize(delta0 + atan2(s, c)); it is consistent, with bias -> 0 as
+    n grows. The angle only means something when both readouts are of the
+    same species at the same epoch; pairing them is the caller's job.
     """
-    gap = wrap_pi(rec1.basis.delta - rec0.basis.delta - 0.5 * math.pi)
-    if abs(gap) > QUADRATURE_TOL:
+    for n, k_pos in ((n0, k0), (n1, k1)):
+        if not (math.isfinite(n) and n >= 1):
+            raise ValueError(f"n must be >= 1, got {n}")
+        if not (0 <= k_pos <= n):
+            raise ValueError(f"k_pos must be in [0, n], got {k_pos} of {n}")
+    gap = wrap_pi(delta1 - delta0 - 0.5 * math.pi)
+    if not abs(gap) <= QUADRATURE_TOL:
         raise ValueError(
             f"bases are not in quadrature: delta1 - delta0 = pi/2 {gap:+.3e} rad"
         )
-    if rec0.n < MIN_SAMPLES or rec1.n < MIN_SAMPLES:
+    if n0 < MIN_SAMPLES or n1 < MIN_SAMPLES:
         raise InsufficientSamplesError(
-            f"need >= {MIN_SAMPLES} pairs per quadrature, got {rec0.n} and {rec1.n}"
+            f"need >= {MIN_SAMPLES} pairs per quadrature, got {n0} and {n1}"
         )
 
-    c = 2.0 * rec0.k_pos / rec0.n - 1.0
-    s = 2.0 * rec1.k_pos / rec1.n - 1.0
+    c = 2.0 * k0 / n0 - 1.0
+    s = 2.0 * k1 / n1 - 1.0
     r2 = c * c + s * s
-    if r2 * min(rec0.n, rec1.n) < _DEGENERATE_R2_SCALE:
+    if r2 * min(n0, n1) < _DEGENERATE_R2_SCALE:
         raise DegenerateCountsError(
             "quadrature counts sit at the circle center; no phase information "
             f"(c={c:.3e}, s={s:.3e})"
         )
-    theta_hat = canonicalize(rec0.basis.delta + math.atan2(s, c))
-    var_c = _smoothed_var(rec0.k_pos, rec0.n)
-    var_s = _smoothed_var(rec1.k_pos, rec1.n)
+    theta_hat = canonicalize(delta0 + math.atan2(s, c))
+    var_c = _smoothed_var(k0, n0)
+    var_s = _smoothed_var(k1, n1)
     sigma = math.sqrt(s * s * var_c + c * c * var_s) / r2
-    return PhaseEstimate(theta_hat, sigma, rec0.n + rec1.n)
+    return PhaseEstimate(theta_hat, sigma, n0 + n1)
 
 
 def estimate_rate(

@@ -39,19 +39,16 @@ from enum import Enum
 
 from .clocks import basis_for, esct_transfer, trigger_time
 from .config import ScenarioConfig
-from .estimation import (
-    MeasurementRecord,
-    check_rate_ambiguity,
-    estimate_phase,
-    estimate_rate,
-    wrap_pi,
-)
-from .quantum import BasisPhase, EquatorialState, canonicalize, evolve, imprint_phase, prob_pos
-from .quantum import collapse_singlet  # noqa: F401  unused; perfbench's tracer looks it up here
-from .rng import trial_stream  # noqa: F401  unused; perfbench's tracer looks it up here
+from .estimation import check_rate_ambiguity, estimate_phase, estimate_rate, wrap_pi
+from .quantum import canonicalize, evolve, imprint_phase, prob_pos
 from .rng import trial_streams
-from .transport import apply_transport  # noqa: F401  unused; perfbench's tracer looks it up here
 from .transport import transport_phase
+
+# unused here; perfbench's tracer looks these names up in this module
+from .estimation import MeasurementRecord  # noqa: F401
+from .quantum import BasisPhase, EquatorialState, collapse_singlet  # noqa: F401
+from .rng import trial_stream  # noqa: F401
+from .transport import apply_transport  # noqa: F401
 
 #: Stream lane of the second protocol in runs that interleave two.
 LANE_BASELINE = 1
@@ -119,7 +116,7 @@ class TrialResult:
 
 def _make_result(protocol, trial_id, truth, estimate, diagnostics) -> TrialResult:
     error = {k: estimate[k] - truth[k] for k in estimate if k in truth}
-    return TrialResult(protocol, trial_id, dict(truth), dict(estimate), error, dict(diagnostics))
+    return TrialResult(protocol, trial_id, truth, estimate, error, diagnostics)
 
 
 # -- one sub-ensemble: select, dephase, read out ---------------------------
@@ -173,11 +170,10 @@ def _count_pos(good, bad, p, rng):
     return k + int(rng.binomial(bad, 1.0 - p)) if bad else k
 
 
-def _measure_quadratures(cfg, state, blocks, basis0, rng):
-    """Read B's kept list out in two quadrature bases: basis0 takes the first half."""
-    basis1 = BasisPhase(basis0.delta + 0.5 * math.pi)
-    p0 = prob_pos(state, basis0)
-    p1 = prob_pos(state, basis1)
+def _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng):
+    """Counts (n0, k0, n1, k1) of B's kept list read out at delta0 (first half) and delta1."""
+    p0 = prob_pos(theta, delta0)
+    p1 = prob_pos(theta, delta1)
     n_kept = sum(good + bad for good, bad in blocks)
     if cfg.noiseless:
         n0 = n1 = 0.5 * n_kept
@@ -195,21 +191,19 @@ def _measure_quadratures(cfg, state, blocks, basis0, rng):
         g0, g1 = _split_good(blocks, n0, rng)
         k0 = _count_pos(g0, n0 - g0, p0, rng)
         k1 = _count_pos(g1, n1 - g1, p1, rng)
-    return MeasurementRecord(n0, k0, basis0), MeasurementRecord(n1, k1, basis1)
+    return n0, k0, n1, k1
 
 
 def _read_out(cfg, species, freq, blocks, phi_common, tau, rng):
     """Collapse, transport by phi_common, precession for tau, and readout of B's `blocks`.
 
-    Returns (PhaseEstimate, counts).
+    Returns (PhaseEstimate, (n0, k0, n1, k1)).
     """
-    state = EquatorialState(basis_for(cfg.clock_a, species).delta)
-    state = evolve(imprint_phase(state, phi_common), freq, tau)
-    delta_b = basis_for(cfg.clock_b, species)
-    rec0, rec1 = _measure_quadratures(cfg, state, blocks, delta_b, rng)
-    counts = {"n0": float(rec0.n), "k0": float(rec0.k_pos),
-              "n1": float(rec1.n), "k1": float(rec1.k_pos)}
-    return estimate_phase(rec0, rec1), counts
+    theta = evolve(imprint_phase(basis_for(cfg.clock_a, species).delta, phi_common), freq, tau)
+    delta0 = basis_for(cfg.clock_b, species).delta
+    delta1 = canonicalize(delta0 + 0.5 * math.pi)
+    n0, k0, n1, k1 = counts = _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng)
+    return estimate_phase(n0, k0, delta0, n1, k1, delta1), counts
 
 
 def _trigger_interval(cfg, rng):
@@ -228,7 +222,7 @@ def _phase_residual(cfg, species, freq, tau, nominal, rng):
     """One species' cycle and its phase residual against B's model of the pre-clock.
 
     B's model is his own basis phase advanced by the nominal elapsed time.
-    Returns (residual in (-pi, pi], PhaseEstimate, phi_common, counts).
+    Returns (residual in (-pi, pi], PhaseEstimate, phi_common, (n0, k0, n1, k1)).
     """
     (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
     phi_common = transport_phase(cfg.transport, species, freq, rng)
@@ -248,6 +242,7 @@ def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     ((species, freq),) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
     residual, est, phi_common, counts = _phase_residual(cfg, species, freq, tau, nominal, rng)
+    n0, k0, n1, k1 = counts
 
     truth = {
         "time_offset": tau - nominal,
@@ -260,7 +255,7 @@ def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
         "sigma_theta": est.sigma_theta,
         "sigma_time": est.sigma_theta / freq.omega,
         "pairs_used": float(est.n_used),
-        **counts,
+        "n0": float(n0), "k0": float(k0), "n1": float(n1), "k1": float(k1),
     }
     return _make_result(Protocol.QCS_BASIC, trial_id, truth, estimate, diagnostics)
 
@@ -289,8 +284,8 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
         diagnostics[f"theta_hat_{species}"] = est.theta_hat
         diagnostics[f"sigma_theta_{species}"] = est.sigma_theta
         diagnostics[f"t_hat_{species}"] = residuals[species] / freq.omega
-        for key, value in counts.items():
-            diagnostics[f"{key}_{species}"] = value
+        for key, value in zip(("n0", "k0", "n1", "k1"), counts):
+            diagnostics[f"{key}_{species}"] = float(value)
 
     beat_omega = f1.omega - f2.omega
     beat_residual = wrap_pi(residuals[sp1] - residuals[sp2])

@@ -8,12 +8,12 @@ by -omega*tau. The pi/2 preparation/readout pulses are not separate operations
 here: preparation is "states start equatorial" and readout is `prob_pos`, which
 folds the second pulse and the detector into one projection probability.
 
-Every state here is one pair's state and every angle a Python float. The
-simulator never holds an ensemble of states: B's kept pairs share one common
-phase per trial, and the count sampler in `protocols` turns that phase into
-counts. The full two-complex-amplitude representation exists only in the test
-oracle, never here; keeping a single angle makes normalization and range
-invariants exact.
+`evolve`, `imprint_phase` and `prob_pos` take and return float angles on
+[0, 2*pi), a state phase theta and a basis phase delta; `EquatorialState`
+holds one pair's angle for the one-pair models. The simulator never holds an
+ensemble of states: B's kept pairs share one common phase per trial, and the
+count sampler in `protocols` turns that phase into counts. The full
+two-complex-amplitude representation exists only in the test oracle.
 """
 from __future__ import annotations
 
@@ -34,6 +34,13 @@ def canonicalize(theta: float) -> float:
     return t - TWO_PI if t >= TWO_PI else t
 
 
+def _angle(theta: float) -> float:
+    """A state phase reduced to [0, 2*pi); a non-finite one raises ValueError."""
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+    return canonicalize(theta)
+
+
 @dataclass(frozen=True)
 class Frequency:
     """Angular frequency of a clock transition, rad/s (strictly positive)."""
@@ -49,18 +56,14 @@ class Frequency:
 class EquatorialState:
     """Equal-weight superposition with relative phase theta in [0, 2*pi).
 
-    theta is one float; anything `float()` rejects, such as an array of
-    several angles, raises TypeError. The constructor canonicalizes, so the
-    range invariant holds after every operation.
+    theta is one float, canonicalized; anything `float()` rejects, such as
+    an array of several angles, raises TypeError.
     """
 
     theta: float
 
     def __post_init__(self):
-        th = float(self.theta)
-        if not math.isfinite(th):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "theta", canonicalize(th))
+        object.__setattr__(self, "theta", _angle(float(self.theta)))
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ class CollapseOutcome:
     state_b: EquatorialState
 
 
-def evolve(state: EquatorialState, freq: Frequency, tau) -> EquatorialState:
+def evolve(theta: float, freq: Frequency, tau) -> float:
     """Free precession for tau seconds: theta -> theta - omega*tau (mod 2*pi).
 
     tau may be negative (rewinding is legitimate for analysis); it must be
@@ -102,19 +105,19 @@ def evolve(state: EquatorialState, freq: Frequency, tau) -> EquatorialState:
     tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    return EquatorialState(state.theta - freq.omega * tau)
+    return _angle(theta - freq.omega * tau)
 
 
-def imprint_phase(state: EquatorialState, phi: float) -> EquatorialState:
-    """Add a classical phase shift phi to the state."""
+def imprint_phase(theta: float, phi: float) -> float:
+    """Add a classical phase shift phi to the state phase theta."""
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    return EquatorialState(state.theta + phi)
+    return _angle(theta + phi)
 
 
-def prob_pos(state: EquatorialState, basis: BasisPhase) -> float:
+def prob_pos(theta: float, delta: float) -> float:
     """Probability of the pos-type outcome: cos((theta - delta) / 2)**2, in [0, 1]."""
-    c = math.cos(0.5 * (state.theta - basis.delta))
+    c = math.cos(0.5 * (theta - delta))
     return c * c
 
 

@@ -89,4 +89,4 @@ def apply_transport(
     phi = phi_common = transport_phase(model, species, freq, rng)
     if model.sigma_pair > 0.0:
         phi = phi_common + model.sigma_pair * rng.standard_normal()
-    return imprint_phase(state, phi), phi_common
+    return EquatorialState(imprint_phase(state.theta, phi)), phi_common

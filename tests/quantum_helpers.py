@@ -7,16 +7,16 @@ claims directly.
 import math
 
 from qcs_sim import Frequency
-from qcs_sim.quantum import EquatorialState, prob_pos
+from qcs_sim.quantum import prob_pos
 
-#: The two dual-basis states reachable at delta = 0.
-POS = EquatorialState(0.0)
-NEG = EquatorialState(math.pi)
+#: Phases of the two dual-basis states reachable at delta = 0.
+POS = 0.0
+NEG = math.pi
 
 
-def prob_neg(state, basis):
+def prob_neg(theta, delta):
     """Probability of the orthogonal neg-type outcome, exactly 1 - prob_pos."""
-    return 1.0 - prob_pos(state, basis)
+    return 1.0 - prob_pos(theta, delta)
 
 
 def ramsey_prob(freq: Frequency, omega_osc: float, T: float, dphi_osc: float = 0.0) -> float:

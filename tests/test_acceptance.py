@@ -9,7 +9,6 @@ import numpy as np
 from scipy import stats
 
 from qcs_sim import (
-    BasisPhase,
     Frequency,
     compare_equivalence,
     run_experiment,
@@ -19,7 +18,7 @@ from qcs_sim import (
     trial_stream,
 )
 from qcs_sim.protocols import Protocol
-from qcs_sim.quantum import EquatorialState, evolve, prob_pos
+from qcs_sim.quantum import evolve, prob_pos
 
 from amplitude_oracle import (
     circular_diff,
@@ -58,12 +57,12 @@ def test_criterion_2_full_amplitude_oracle_equivalence():
         delta = rng.uniform(0, TWO_PI)
         tau = rng.uniform(-10, 10)
         omega = rng.uniform(0.1, 100.0)
-        s = evolve(EquatorialState(theta), Frequency(omega), tau)
+        s = evolve(theta, Frequency(omega), tau)
         amps = evolve_amplitudes(state_from_theta(theta), omega, tau, e0=rng.uniform(-5, 5))
         worst = max(
             worst,
-            abs(circular_diff(s.theta, relative_phase(amps))),
-            abs(prob_pos(s, BasisPhase(delta)) - prob_pos_amplitudes(amps, delta)),
+            abs(circular_diff(s, relative_phase(amps))),
+            abs(prob_pos(s, delta) - prob_pos_amplitudes(amps, delta)),
         )
     _report(
         "2 quantum-core-oracle-equivalence", worst <= 1e-10,

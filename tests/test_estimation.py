@@ -5,20 +5,18 @@ import pytest
 
 from qcs_sim import (
     AmbiguityError,
-    BasisPhase,
     DegenerateCountsError,
     Frequency,
     InsufficientSamplesError,
 )
 from qcs_sim.estimation import (
-    MeasurementRecord,
     PhaseEstimate,
     check_rate_ambiguity,
     estimate_phase,
     estimate_rate,
     wrap_pi,
 )
-from qcs_sim.quantum import EquatorialState, prob_pos
+from qcs_sim.quantum import canonicalize, prob_pos
 
 from amplitude_oracle import circular_diff
 
@@ -27,21 +25,19 @@ HALF_PI = math.pi / 2
 
 
 def quadrature_records(theta, delta0, n0, n1, rng=None):
-    """Records for one state read out at delta0 and delta0 + pi/2.
+    """Counts for one state read out at delta0 and delta0 + pi/2.
 
-    With rng=None the counts are the exact expectations (idealized records).
+    Returns estimate_phase's arguments (n0, k0, delta0, n1, k1, delta1). With
+    rng=None the counts are the exact expectations (idealized counts).
     """
-    s = EquatorialState(theta)
-    b0, b1 = BasisPhase(delta0), BasisPhase(delta0 + HALF_PI)
+    s = canonicalize(theta)
+    b0, b1 = canonicalize(delta0), canonicalize(delta0 + HALF_PI)
     p0, p1 = prob_pos(s, b0), prob_pos(s, b1)
     if rng is None:
         k0, k1 = n0 * p0, n1 * p1
     else:
         k0, k1 = int(rng.binomial(n0, p0)), int(rng.binomial(n1, p1))
-    return (
-        MeasurementRecord(n0, k0, b0),
-        MeasurementRecord(n1, k1, b1),
-    )
+    return n0, k0, b0, n1, k1, b1
 
 
 # -- wrap helper -----------------------------------------------------------------
@@ -61,13 +57,15 @@ def test_wrap_pi_range_and_edges():
 
 
 def test_record_validation():
-    b = BasisPhase(0.0)
-    with pytest.raises(ValueError):
-        MeasurementRecord(0, 0, b)
-    with pytest.raises(ValueError):
-        MeasurementRecord(10, 11, b)
-    with pytest.raises(ValueError):
-        MeasurementRecord(10, -1, b)
+    # each bad (n, k_pos) is rejected in either quadrature, before the
+    # sample-size check could reject n = 10 for another reason
+    good = (1000, 500)
+    for (n, k_pos), message in (((0, 0), "n must be >= 1"), ((10, 11), "k_pos must be in"),
+                                ((10, -1), "k_pos must be in")):
+        with pytest.raises(ValueError, match=message):
+            estimate_phase(n, k_pos, 0.0, *good, HALF_PI)
+        with pytest.raises(ValueError, match=message):
+            estimate_phase(*good, 0.0, n, k_pos, HALF_PI)
 
 
 # -- phase estimation ----------------------------------------------------------------
@@ -76,9 +74,7 @@ def test_record_validation():
 def test_noiseless_plugin_is_exact_at_quarter_turn():
     # theta = pi/2, delta = 0: exact counts are k0/n0 = cos^2(pi/4) = 1/2 and
     # k1/n1 = 1, so c = 0, s = 1 and atan2 hits the axis exactly
-    rec0 = MeasurementRecord(1000, 500, BasisPhase(0.0))
-    rec1 = MeasurementRecord(1000, 1000, BasisPhase(HALF_PI))
-    est = estimate_phase(rec0, rec1)
+    est = estimate_phase(1000, 500, 0.0, 1000, 1000, HALF_PI)
     assert est.theta_hat == HALF_PI
     assert est.sigma_theta > 0.0
     assert est.n_used == 2000
@@ -89,8 +85,7 @@ def test_quadrature_completeness_on_idealized_records():
     for _ in range(1000):
         theta = rng.uniform(0, TWO_PI)
         delta = rng.uniform(0, TWO_PI)
-        rec0, rec1 = quadrature_records(theta, delta, 10_000, 10_000)
-        est = estimate_phase(rec0, rec1)
+        est = estimate_phase(*quadrature_records(theta, delta, 10_000, 10_000))
         assert abs(circular_diff(est.theta_hat, theta)) < 1e-12
 
 
@@ -98,16 +93,14 @@ def test_estimate_against_binomial_sampling_at_known_truth():
     # truth aligned with the first basis: c ~ 1, s ~ 0
     rng = np.random.default_rng(101)
     delta = 0.8
-    rec0, rec1 = quadrature_records(delta, delta, 1_000_000, 1_000_000, rng)
-    est = estimate_phase(rec0, rec1)
+    est = estimate_phase(*quadrature_records(delta, delta, 1_000_000, 1_000_000, rng))
     assert abs(circular_diff(est.theta_hat, delta)) < 3 * est.sigma_theta
 
 
 def test_estimates_land_on_correct_side_of_wrap():
     rng = np.random.default_rng(55)
     for theta in (1e-4, TWO_PI - 1e-4):
-        rec0, rec1 = quadrature_records(theta, 0.0, 1_000_000, 1_000_000, rng)
-        est = estimate_phase(rec0, rec1)
+        est = estimate_phase(*quadrature_records(theta, 0.0, 1_000_000, 1_000_000, rng))
         assert abs(circular_diff(est.theta_hat, theta)) < HALF_PI
 
 
@@ -118,43 +111,37 @@ def test_sigma_scaling_follows_inverse_sqrt_n():
     for _ in range(100):
         theta = rng.uniform(0, TWO_PI)
         delta = rng.uniform(0, TWO_PI)
-        r0, r1 = quadrature_records(theta, delta, n, n, rng)
-        r0d, r1d = quadrature_records(theta, delta, 2 * n, 2 * n, rng)
+        single = quadrature_records(theta, delta, n, n, rng)
+        double = quadrature_records(theta, delta, 2 * n, 2 * n, rng)
         ratios.append(
-            estimate_phase(r0d, r1d).sigma_theta / estimate_phase(r0, r1).sigma_theta
+            estimate_phase(*double).sigma_theta / estimate_phase(*single).sigma_theta
         )
     assert 0.69 < np.mean(ratios) < 0.73
 
 
 def test_sigma_positive_even_at_count_extremes():
-    rec0, rec1 = quadrature_records(0.3, 0.3, 500, 500)  # p0 = 1 exactly
-    assert rec0.k_pos == rec0.n
-    assert estimate_phase(rec0, rec1).sigma_theta > 0.0
+    counts = quadrature_records(0.3, 0.3, 500, 500)  # p0 = 1 exactly
+    n0, k0 = counts[:2]
+    assert k0 == n0
+    assert estimate_phase(*counts).sigma_theta > 0.0
 
 
 def test_bases_must_be_in_quadrature():
-    b0, b1 = BasisPhase(0.0), BasisPhase(HALF_PI + 1e-6)
-    rec0 = MeasurementRecord(1000, 500, b0)
-    rec1 = MeasurementRecord(1000, 500, b1)
     with pytest.raises(ValueError, match="quadrature"):
-        estimate_phase(rec0, rec1)
+        estimate_phase(1000, 500, 0.0, 1000, 500, HALF_PI + 1e-6)
     # tolerance admits 1e-10 of slack
-    rec1b = MeasurementRecord(1000, 400, BasisPhase(HALF_PI + 1e-10))
-    estimate_phase(rec0, rec1b)
+    estimate_phase(1000, 500, 0.0, 1000, 400, HALF_PI + 1e-10)
 
 
 def test_insufficient_samples():
-    rec0, rec1 = quadrature_records(0.2, 0.0, 99, 1000)
+    counts = quadrature_records(0.2, 0.0, 99, 1000)
     with pytest.raises(InsufficientSamplesError):
-        estimate_phase(rec0, rec1)
+        estimate_phase(*counts)
 
 
 def test_degenerate_counts_raise():
-    b0, b1 = BasisPhase(0.0), BasisPhase(HALF_PI)
-    rec0 = MeasurementRecord(1_000_000, 500_000, b0)
-    rec1 = MeasurementRecord(1_000_000, 500_000, b1)
     with pytest.raises(DegenerateCountsError):
-        estimate_phase(rec0, rec1)
+        estimate_phase(1_000_000, 500_000, 0.0, 1_000_000, 500_000, HALF_PI)
 
 
 # -- rate estimation -------------------------------------------------------------------
@@ -166,8 +153,7 @@ def rate_records(y, omega, t1, t2, n=100_000, common_phase=0.0):
     for t in (t1, t2):
         tau = t / (1 + y)  # true elapsed time when the local clock shows t
         theta = common_phase - omega * tau
-        rec0, rec1 = quadrature_records(theta, 0.0, n, n)
-        ests.append(estimate_phase(rec0, rec1))
+        ests.append(estimate_phase(*quadrature_records(theta, 0.0, n, n)))
     return ests
 
 

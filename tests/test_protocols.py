@@ -7,7 +7,6 @@ from scipy import stats
 
 from qcs_sim import (
     AmbiguityError,
-    BasisPhase,
     compare_equivalence,
     run_esct,
     run_qcs_basic,
@@ -17,7 +16,7 @@ from qcs_sim import (
     trial_stream,
 )
 from qcs_sim.clocks import esct_transfer
-from qcs_sim.quantum import EquatorialState
+from qcs_sim.quantum import canonicalize
 from qcs_sim import protocols
 from qcs_sim.protocols import Protocol
 
@@ -120,10 +119,9 @@ ORACLE_CASES = {
 
 def _production_counts(cfg, sizes, rng):
     """(n0, k0, n1, k1) per sub-ensemble from the simulator's count sampler."""
-    state, basis = EquatorialState(ORACLE_PHASES[0]), BasisPhase(0.0)
-    records = [protocols._measure_quadratures(cfg, state, blocks, basis, rng)
-               for blocks in protocols._kept_lists(cfg, sizes, rng)]
-    return [(r0.n, r0.k_pos, r1.n, r1.k_pos) for r0, r1 in records]
+    delta1 = canonicalize(0.0 + 0.5 * math.pi)
+    return [protocols._measure_quadratures(cfg, ORACLE_PHASES[0], blocks, 0.0, delta1, rng)
+            for blocks in protocols._kept_lists(cfg, sizes, rng)]
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

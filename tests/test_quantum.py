@@ -51,8 +51,8 @@ def test_canonicalize_edge_cases():
 def test_state_theta_is_always_canonical():
     s = EquatorialState(17.5)
     assert 0.0 <= s.theta < TWO_PI
-    s = imprint_phase(EquatorialState(5.5), 1.5)
-    assert math.isclose(s.theta, 5.5 + 1.5 - TWO_PI, rel_tol=1e-15)
+    theta = imprint_phase(5.5, 1.5)
+    assert math.isclose(theta, 5.5 + 1.5 - TWO_PI, rel_tol=1e-15)
 
 
 def test_state_holds_one_angle_not_an_ensemble():
@@ -65,19 +65,19 @@ def test_state_holds_one_angle_not_an_ensemble():
 
 def test_evolve_identity_at_tau_zero():
     f = Frequency(2 * math.pi * 10.0)
-    assert evolve(POS, f, 0.0).theta == 0.0
+    assert evolve(POS, f, 0.0) == 0.0
 
 
 def test_evolve_half_period_maps_neg_to_pos():
     f = Frequency(2 * math.pi * 10.0)
     tau = math.pi / f.omega  # omega * tau = pi
-    assert abs(evolve(NEG, f, tau).theta) < 1e-12
+    assert abs(evolve(NEG, f, tau)) < 1e-12
 
 
 def test_evolve_closed_form_against_matrix_exponential():
     # theta = 0.3 evolved by omega*tau = pi lands at canonicalize(0.3 - pi)
     f = Frequency(2 * math.pi * 10.0)
-    got = evolve(EquatorialState(0.3), f, 0.05).theta
+    got = evolve(0.3, f, 0.05)
     assert math.isclose(got, 0.3 - math.pi + TWO_PI, rel_tol=1e-12)
     amps = evolve_amplitudes(state_from_theta(0.3), f.omega, 0.05, e0=1.7)
     assert abs(circular_diff(got, relative_phase(amps))) < 1e-10
@@ -85,9 +85,9 @@ def test_evolve_closed_form_against_matrix_exponential():
 
 def test_evolve_negative_tau_rewinds():
     f = Frequency(3.0)
-    s = evolve(EquatorialState(1.0), f, 2.5)
+    s = evolve(1.0, f, 2.5)
     back = evolve(s, f, -2.5)
-    assert abs(circular_diff(back.theta, 1.0)) < 1e-12
+    assert abs(circular_diff(back, 1.0)) < 1e-12
 
 
 def test_evolve_is_additive_in_tau():
@@ -96,8 +96,8 @@ def test_evolve_is_additive_in_tau():
     for _ in range(500):
         theta = rng.uniform(0, TWO_PI)
         a, b = rng.uniform(-50, 50, 2)
-        two_step = evolve(evolve(EquatorialState(theta), f, a), f, b).theta
-        one_step = evolve(EquatorialState(theta), f, a + b).theta
+        two_step = evolve(evolve(theta, f, a), f, b)
+        one_step = evolve(theta, f, a + b)
         assert abs(circular_diff(two_step, one_step)) < 1e-12
 
 
@@ -113,8 +113,8 @@ def test_evolve_rejects_non_finite_tau():
 
 
 def test_imprint_trivia():
-    assert imprint_phase(POS, 0.0).theta == 0.0
-    assert math.isclose(imprint_phase(EquatorialState(1.0), TWO_PI).theta, 1.0, rel_tol=1e-15)
+    assert imprint_phase(POS, 0.0) == 0.0
+    assert math.isclose(imprint_phase(1.0, TWO_PI), 1.0, rel_tol=1e-15)
 
 
 def test_imprint_rejects_non_finite():
@@ -123,7 +123,7 @@ def test_imprint_rejects_non_finite():
 
 
 def test_imprint_wraps_each_phi_into_range():
-    thetas = [imprint_phase(POS, phi).theta for phi in (0.0, 1.0, -1.0, 7.0)]
+    thetas = [imprint_phase(POS, phi) for phi in (0.0, 1.0, -1.0, 7.0)]
     assert np.allclose(thetas, [0.0, 1.0, TWO_PI - 1.0, 7.0 - TWO_PI])
 
 
@@ -131,8 +131,8 @@ def test_imprint_wraps_each_phi_into_range():
 
 
 def test_prob_pos_trivia():
-    assert prob_pos(POS, BasisPhase(0.0)) == 1.0
-    assert prob_pos(NEG, BasisPhase(0.0)) < 1e-30
+    assert prob_pos(POS, 0.0) == 1.0
+    assert prob_pos(NEG, 0.0) < 1e-30
 
 
 def test_prob_pos_of_evolved_neg_state():
@@ -141,7 +141,7 @@ def test_prob_pos_of_evolved_neg_state():
     f = Frequency(2 * math.pi * 5.0)
     for tau in (0.0, 0.013, 0.27, 1.9):
         s = evolve(NEG, f, tau)
-        got = prob_pos(s, BasisPhase(0.0))
+        got = prob_pos(s, 0.0)
         assert math.isclose(got, math.sin(f.omega * tau / 2) ** 2, abs_tol=1e-12)
         amps = evolve_amplitudes(state_from_theta(math.pi), f.omega, tau, e0=0.4)
         assert abs(got - prob_pos_amplitudes(amps, 0.0)) < 1e-10
@@ -150,13 +150,12 @@ def test_prob_pos_of_evolved_neg_state():
 def test_probability_completeness():
     rng = np.random.default_rng(3)
     for _ in range(2000):
-        s = EquatorialState(rng.uniform(0, TWO_PI))
+        s = rng.uniform(0, TWO_PI)
         delta = rng.uniform(0, TWO_PI)
-        b = BasisPhase(delta)
         # the neg outcome is the exact complement by construction
-        assert prob_pos(s, b) + prob_neg(s, b) == 1.0
+        assert prob_pos(s, delta) + prob_neg(s, delta) == 1.0
         # the delta + pi basis vector is the orthogonal outcome
-        total = prob_pos(s, b) + prob_pos(s, BasisPhase(delta + math.pi))
+        total = prob_pos(s, delta) + prob_pos(s, canonicalize(delta + math.pi))
         assert abs(total - 1.0) < 1e-12
 
 
@@ -168,10 +167,10 @@ def test_full_amplitude_oracle_equivalence_10k():
         tau = rng.uniform(-10, 10)
         omega = rng.uniform(0.1, 100.0)
         e0 = rng.uniform(-5, 5)
-        s = evolve(EquatorialState(theta), Frequency(omega), tau)
+        s = evolve(theta, Frequency(omega), tau)
         amps = evolve_amplitudes(state_from_theta(theta), omega, tau, e0=e0)
-        assert abs(circular_diff(s.theta, relative_phase(amps))) < 1e-10
-        assert abs(prob_pos(s, BasisPhase(delta)) - prob_pos_amplitudes(amps, delta)) < 1e-10
+        assert abs(circular_diff(s, relative_phase(amps))) < 1e-10
+        assert abs(prob_pos(s, delta) - prob_pos_amplitudes(amps, delta)) < 1e-10
 
 
 # -- singlet collapse ----------------------------------------------------------
@@ -192,7 +191,8 @@ def test_singlet_anticorrelation_in_any_common_basis():
         basis = BasisPhase(rng.uniform(0, TWO_PI))
         out = collapse_singlet(basis, rng)
         # probability that B's outcome matches A's in the same basis
-        p_match = prob_pos(out.state_b, basis) if out.type_i else prob_neg(out.state_b, basis)
+        theta_b, delta = out.state_b.theta, basis.delta
+        p_match = prob_pos(theta_b, delta) if out.type_i else prob_neg(theta_b, delta)
         assert p_match < 1e-12
 
 

@@ -28,5 +28,12 @@ def test_benchmark_tracer_instruments_installs_and_restores(monkeypatch, tmp_pat
     finally:
         tracer.uninstall()
     assert (dict(protocols._RUNNERS), harness.run_trials, protocols.transport_phase) == originals
-    assert spans.Profile(tracer).analyse(tracer.take()) == []
+    taken = tracer.take()
+    assert spans.Profile(tracer).analyse(taken) == []
     assert counters.ensemble == 2 * cfg.ensemble_size
+    # the readout reaches the estimator and the quantum core through the
+    # names the tracer wraps, so their layers' times and counts are not empty
+    recorded = {tracer.names[name_id] for name_id, *_ in taken}
+    for name in ("protocols.estimate_phase", "protocols.evolve", "protocols.prob_pos"):
+        assert name in recorded, name
+    assert counters.n_used > 0
