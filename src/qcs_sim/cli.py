@@ -15,27 +15,39 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
+from decimal import Decimal
 
-from .config import load_config
+from .config import ScenarioConfig, load_config
 from .errors import ConfigError
 from .harness import SUBCOMMANDS, SWEEP_PROTOCOLS, run_experiment
 
 
-def _parse_values(text: str) -> list[float]:
-    """The grid as floats; an integer entry that no float holds exactly is a ConfigError."""
+def _parse_values(text: str, param: str | None = None) -> list[float]:
+    """The grid of `param` as floats.
+
+    An integer that its float does not hold exactly is a ConfigError: an
+    integer literal for any parameter, and for an integer field (`seed`,
+    `trials`, `ensemble_size`) any integral entry, such as
+    9007199254740993.0. On a float field, 1e30 runs as its float.
+    """
     tokens = [tok.strip() for tok in text.split(",") if tok.strip() != ""]
     try:
         values = [float(tok) for tok in tokens]
     except ValueError:
         raise ConfigError(f"--sweep-values must be comma-separated numbers, got {text!r}")
+    int_field = typing.get_type_hints(ScenarioConfig).get(param) is int
     for tok, value in zip(tokens, values):
         try:
             exact = int(tok)
         except ValueError:  # not an integer literal
-            continue
+            exact = Decimal(tok)  # exact, without expanding an exponent such as 1e999999
+            if not (int_field and exact == exact.to_integral_value()):
+                continue
         if exact != value:
-            raise ConfigError(f"--sweep-values entry {tok!r} is an integer that no float "
-                              f"holds exactly; it would run as {value!r}")
+            field = f"{param}: " if param else ""
+            raise ConfigError(f"{field}--sweep-values entry {tok!r} is an integer that no "
+                              f"float holds exactly; it would run as {value!r}")
     return values
 
 
@@ -75,7 +87,7 @@ def main(argv=None) -> int:
             trials=args.trials,
             protocol=getattr(args, "protocol", None),
             sweep_param=getattr(args, "sweep_param", None),
-            sweep_values=_parse_values(values) if values else None,
+            sweep_values=_parse_values(values, args.sweep_param) if values else None,
         )
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -263,6 +264,29 @@ def test_cli_rejects_an_integer_sweep_value_no_float_holds(tmp_path, capsys):
         assert "--sweep-values" in err and grid.split(",")[-1] in err
     assert not (tmp_path / "o").exists()
     assert _parse_values("9007199254740992, 1.5,,1e20") == [2.0**53, 1.5, 1e20]
+
+
+@pytest.mark.parametrize("param", ("seed", "trials", "ensemble_size"))
+def test_integer_field_rejects_a_decimal_sweep_value_no_float_holds(param):
+    # 2**53 + 1 written in decimal or exponent form parses to the float 2**53
+    for entry in ("9007199254740993.0", "9.007199254740993e15", "-9007199254740993.0"):
+        with pytest.raises(ConfigError, match=f"^{param}: .*'{re.escape(entry)}'"):
+            _parse_values(f"1,{entry}", param)
+
+
+def test_cli_rejects_a_decimal_seed_sweep_value_no_float_holds(tmp_path, capsys):
+    path = write_config(tmp_path, one_species(ensemble_size=5000, trials=2))
+    assert main(["sweep", "--protocol", "qcs", "--config", str(path), "--out",
+                 str(tmp_path / "o"), "--sweep-param", "seed", "--sweep-values",
+                 "1,9007199254740993.0"]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "9007199254740993.0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_float_field_runs_a_large_decimal_sweep_value_as_its_float():
+    assert _parse_values("1e30, 9007199254740993.0", "transport.alpha") == [1e30, 2.0**53]
+    assert _parse_values("4000.0,8e3,1e16", "ensemble_size") == [4000.0, 8000.0, 1e16]
 
 
 @pytest.mark.parametrize("section,key", [("clock_a", "delta_by_species"),
