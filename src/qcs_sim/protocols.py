@@ -319,16 +319,17 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
     kept = _kept_lists(cfg, halves, rng) if cfg.shuffle_type_list else None
 
     estimates = []
-    diagnostics = {}
     for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
         tau = trigger_time(cfg.clock_b, epoch, rng) - t_collapse
         blocks = kept[h] if kept else _kept_lists(cfg, (n_pairs,), rng)[0]
-        est, _ = _read_out(cfg, species, freq, blocks, phi_common, tau, rng)
-        estimates.append(est)
-        diagnostics[f"theta_hat_{h + 1}"] = est.theta_hat
-        diagnostics[f"sigma_theta_{h + 1}"] = est.sigma_theta
-    rate = estimate_rate(estimates[0], t1, estimates[1], t2, freq)
-    diagnostics["sigma_rate"] = rate.sigma_y
+        estimates.append(_read_out(cfg, species, freq, blocks, phi_common, tau, rng)[0])
+    e1, e2 = estimates
+    rate = estimate_rate(e1, t1, e2, t2, freq)
+    diagnostics = {
+        "theta_hat_1": e1.theta_hat, "sigma_theta_1": e1.sigma_theta,
+        "theta_hat_2": e2.theta_hat, "sigma_theta_2": e2.sigma_theta,
+        "sigma_rate": rate.sigma_y,
+    }
 
     truth = {"rate_offset": cfg.clock_b.y, f"phi_common_{species}": phi_common}
     estimate = {"rate_offset": rate.y_hat}
