@@ -133,6 +133,13 @@ def test_bases_must_be_in_quadrature():
     estimate_phase(1000, 500, 0.0, 1000, 400, HALF_PI + 1e-10)
 
 
+def test_non_finite_basis_phase_is_not_in_quadrature():
+    # float basis phases arrive unchecked, so a NaN must not pass the gap test
+    for delta0, delta1 in ((math.nan, HALF_PI), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="quadrature"):
+            estimate_phase(1000, 500, delta0, 1000, 400, delta1)
+
+
 def test_insufficient_samples():
     counts = quadrature_records(0.2, 0.0, 99, 1000)
     with pytest.raises(InsufficientSamplesError):
