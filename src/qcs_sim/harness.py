@@ -3,15 +3,18 @@
 Outputs per run directory:
 
   results.csv    one row per trial; fixed columns trial_id, protocol, then
-                 truth_*, estimate_*, error_*, diagnostics_* (units in a
-                 leading '#' comment line); floats carry 17 significant
-                 digits so identical runs are byte-identical
+                 truth_*, estimate_*, error_*, diagnostics_*, each group
+                 sorted (units in a leading '#' comment line); floats carry
+                 17 significant digits so identical runs are byte-identical
   summary.json   aggregate statistics (means, RMS, CIs) per error key
   manifest.json  reproducibility record: config hash, seed, trial counts,
                  RNG algorithm identifier, artifact version, output names
 
 Sweeps vary one named parameter over a grid and emit sweep.csv instead of
 results.csv: one plot-ready row per grid point.
+
+A run's trials are one table of value rows (`protocols.Layout`): summaries
+read its columns, and results.csv formats rows through one template per layout.
 
 Files are written only after every trial of a run has succeeded: a run that
 fails, say on a config its protocol rejects, creates no output directory.
@@ -28,7 +31,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .protocols import LANE_BASELINE, Protocol, require_count, run_trials
+from .protocols import LANE_BASELINE, Layout, Protocol, require_count, run_trials
 from .rng import RNG_ALGORITHM
 
 ARTIFACT_VERSION = "0.2.0"
@@ -49,31 +52,29 @@ def config_sha256(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _ordered_union(results, group):
-    """Each result's keys in sorted order, first seen first, each key once."""
-    shapes = dict.fromkeys(tuple(getattr(r, group)) for r in results)
-    return list(dict.fromkeys(k for shape in shapes for k in sorted(shape)))
-
-
-def _write_csv(path, header, rows):
-    """The units comment, the header, then one line per row of values.
-
-    None is an empty cell and floats carry 17 significant digits.
-    """
-    lines = [_UNITS_COMMENT, ",".join(header)]
-    lines += [",".join(["" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
-                        for v in row]) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path, header, lines):
+    """The units comment, the header, then the lines, in blocks: no whole-file copy."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{_UNITS_COMMENT}\n{','.join(header)}\n")
+        for i in range(0, len(lines), 1000):
+            f.write("\n".join(lines[i:i + 1000]) + "\n")
 
 
 def write_results_csv(path, results):
-    """One row per trial, merged in trial_id order."""
-    groups = ("truth", "estimate", "error", "diagnostics")
-    columns = [(g, k) for g in groups for k in _ordered_union(results, g)]
-    header = ["trial_id", "protocol"] + [f"{g}_{k}" for g, k in columns]
-    rows = ([r.trial_id, r.protocol.value, *[getattr(r, g).get(k) for g, k in columns]]
-            for r in results)
-    _write_csv(path, header, rows)
+    """One row per trial, in trial_id order, through one row template per layout."""
+    layouts = {r.layout for r in results}
+    columns = Layout.order({c for layout in layouts for c in layout.columns})
+    templates = {layout: ",".join(["%d", layout.protocol.value,
+                                   *["%.17g" if c in layout.columns else "" for c in columns]])
+                 for layout in layouts}
+    _write_csv(path, ["trial_id", "protocol", *[f"{g}_{k}" for g, k in columns]],
+               [templates[r.layout] % (r.trial_id, *r.values) for r in results])
+
+
+def _table(results) -> dict:
+    """(group, key) -> column of values, for trials that share one layout."""
+    (layout,) = {r.layout for r in results}
+    return dict(zip(layout.columns, zip(*[r.values for r in results])))
 
 
 def _stats(values) -> dict:
@@ -93,16 +94,10 @@ def _stats(values) -> dict:
 
 def summarize_trials(results) -> dict:
     """Aggregate per-error-key statistics plus mean diagnostics."""
-    n = len(results)
-    metrics = {
-        key: _stats([r.error[key] for r in results])
-        for key in _ordered_union(results, "error")
-    }
-    mean_diag = {
-        key: float(np.mean([r.diagnostics[key] for r in results]))
-        for key in _ordered_union(results, "diagnostics")
-    }
-    return {"trials": n, "metrics": metrics, "mean_diagnostics": mean_diag}
+    columns = _table(results).items()
+    metrics = {k: _stats(column) for (g, k), column in columns if g == "error"}
+    mean_diag = {k: float(np.mean(column)) for (g, k), column in columns if g == "diagnostics"}
+    return {"trials": len(results), "metrics": metrics, "mean_diagnostics": mean_diag}
 
 
 #: Relative tolerance for the matched-models precondition of compare runs.
@@ -140,8 +135,9 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
     _require_matched_models(cfg)
     qcs = run_trials(Protocol.QCS_BASIC, cfg)
     esct = run_trials(Protocol.ESCT_BASELINE, cfg, lane=LANE_BASELINE)
-    stats_qcs = _stats([r.error["time_offset"] for r in qcs])
-    stats_esct = _stats([r.error["time_offset"] for r in esct])
+    qcs_columns = _table(qcs)
+    stats_qcs = _stats(qcs_columns["error", "time_offset"])
+    stats_esct = _stats(_table(esct)["error", "time_offset"])
     rms_esct = stats_esct["rms"]
     return qcs + esct, {
         "trials": len(qcs),
@@ -150,7 +146,7 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
         "ratio": stats_qcs["rms"] / rms_esct if rms_esct > 0.0 else None,
         "mean_error_qcs": stats_qcs["mean"],
         "mean_error_esct": stats_esct["mean"],
-        "qcs_estimator_floor": _stats([r.diagnostics["sigma_time"] for r in qcs])["rms"],
+        "qcs_estimator_floor": _stats(qcs_columns["diagnostics", "sigma_time"])["rms"],
         "esct_floor": 0.0,
     }
 
@@ -270,7 +266,9 @@ def run_experiment(
         summary = {"protocol": protocol, "param": sweep_param, "points": rows}
         table, trial_counts = "sweep", {protocol: run_cfg.trials}
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep.csv", list(rows[0]), (list(row.values()) for row in rows))
+        _write_csv(out / "sweep.csv", list(rows[0]), [",".join(
+            "" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
+            for v in row.values()) for row in rows])
     else:
         sweep_args = {"protocol": protocol, "sweep_param": sweep_param,
                       "sweep_values": sweep_values}
@@ -280,7 +278,8 @@ def run_experiment(
         results, summary = _run(subcommand, run_cfg)
         summary = {"subcommand": subcommand, "seed": run_cfg.seed, **summary}
         table, sweep = "results", None
-        trial_counts = {r.protocol.value: run_cfg.trials for r in results}
+        lanes = ("qcs", "esct") if subcommand == "compare" else (subcommand,)
+        trial_counts = dict.fromkeys(lanes, run_cfg.trials)
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv(out / "results.csv", results)
     _write_json(out / "summary.json", summary)

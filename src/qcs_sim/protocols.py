@@ -33,9 +33,11 @@ reference the sampler is tested against.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
+from typing import NamedTuple
 
 from .clocks import basis_for, esct_transfer, trigger_time
 from .config import ScenarioConfig
@@ -66,22 +68,27 @@ class Protocol(str, Enum):
     """The protocol table: every fact about a protocol is written here once.
 
     value      CLI subcommand name, which rejection messages also use
-    error_key  error key the protocol is judged on (sweeps report it)
     n_species  configured species it requires (None: any)
     n_epochs   measurement epochs it requires (None: any; it reads the first)
+    trial_keys truth, estimate and diagnostics keys, in the order the runner
+               lists its values; {0} and {1} stand for the first two species
+    error_key  the estimate key (truth holds it too): sweeps report its error
     """
 
-    QCS_BASIC = ("qcs", "time_offset", 1, None)
-    QCS_BEAT = ("beat", "time_offset", 2, None)
-    QCS_SYNTONIZE = ("syntonize", "rate_offset", 1, 2)
-    ESCT_BASELINE = ("esct", "time_offset", None, None)
+    QCS_BASIC = ("qcs", 1, None, "time_offset rate_offset phi_common_{0}", "time_offset",
+                 "theta_hat sigma_theta n0 k0 n1 k1 pairs_used sigma_time")
+    QCS_BEAT = ("beat", 2, None, "time_offset rate_offset phi_common_{0} phi_common_{1}",
+                "time_offset",
+                "theta_hat_{0} sigma_theta_{0} n0_{0} k0_{0} n1_{0} k1_{0} t_hat_{0} "
+                "theta_hat_{1} sigma_theta_{1} n0_{1} k0_{1} n1_{1} k1_{1} t_hat_{1} sigma_time")
+    QCS_SYNTONIZE = ("syntonize", 1, 2, "rate_offset phi_common_{0}", "rate_offset",
+                     "theta_hat_1 sigma_theta_1 theta_hat_2 sigma_theta_2 sigma_rate")
+    ESCT_BASELINE = ("esct", None, None, "time_offset", "time_offset", "")
 
-    def __new__(cls, name, error_key, n_species, n_epochs):
+    def __new__(cls, name, n_species, n_epochs, *trial_keys):
         member = str.__new__(cls, name)
-        member._value_ = name
-        member.error_key = error_key
-        member.n_species = n_species
-        member.n_epochs = n_epochs
+        member._value_, member.n_species, member.n_epochs = name, n_species, n_epochs
+        member.trial_keys, member.error_key = trial_keys, trial_keys[1]
         return member
 
     def validate(self, cfg: ScenarioConfig):
@@ -98,25 +105,47 @@ class Protocol(str, Enum):
             check_rate_ambiguity(freq.omega, cfg.clock_b.y, t2 - t1)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One trial's truth, estimates, errors and diagnostics.
+class Layout:
+    """(group, key) columns of one protocol and species names, by GROUPS, then key.
+    A runner lists its values in `protocol.trial_keys` order, each error
+    (estimate - truth) after its estimate; `row` keeps them in column order.
+    """
 
-    `error` holds estimate - truth for every key the two maps share; the
-    identity is arithmetic, not a tolerance.
+    GROUPS = ("truth", "estimate", "error", "diagnostics")
+
+    def __init__(self, protocol: Protocol, *species: str):
+        truth, estimate, diagnostics = [k.format(*species).split() for k in protocol.trial_keys]
+        given = [(g, k) for g, keys in zip(self.GROUPS, (truth, estimate, estimate, diagnostics))
+                 for k in keys]
+        self.protocol = protocol
+        self.columns = self.order(given)
+        self._arrange = itemgetter(*map(given.index, self.columns))
+
+    @classmethod
+    def order(cls, columns) -> tuple:
+        return tuple(sorted(columns, key=lambda c: (cls.GROUPS.index(c[0]), c[1])))
+
+    def row(self, trial_id: int, values) -> TrialResult:
+        return TrialResult(self.protocol, trial_id, self, self._arrange(values))
+
+    def view(self, values, group: str) -> dict[str, float]:
+        return {k: v for (g, k), v in zip(self.columns, values) if g == group}
+
+
+class TrialResult(NamedTuple):
+    """One trial's values in its layout's column order. `truth`, `estimate`, `error`
+    (estimate - truth, exactly) and `diagnostics` are maps built on each access.
     """
 
     protocol: Protocol
     trial_id: int
-    truth: dict[str, float]
-    estimate: dict[str, float]
-    error: dict[str, float]
-    diagnostics: dict[str, float]
+    layout: Layout
+    values: tuple
 
-
-def _make_result(protocol, trial_id, truth, estimate, diagnostics) -> TrialResult:
-    error = {k: estimate[k] - truth[k] for k in estimate if k in truth}
-    return TrialResult(protocol, trial_id, truth, estimate, error, diagnostics)
+    truth = property(lambda r: r.layout.view(r.values, "truth"))
+    estimate = property(lambda r: r.layout.view(r.values, "estimate"))
+    error = property(lambda r: r.layout.view(r.values, "error"))
+    diagnostics = property(lambda r: r.layout.view(r.values, "diagnostics"))
 
 
 # -- one sub-ensemble: select, dephase, read out ---------------------------
@@ -222,13 +251,15 @@ def _phase_residual(cfg, species, freq, tau, nominal, rng):
     """One species' cycle and its phase residual against B's model of the pre-clock.
 
     B's model is his own basis phase advanced by the nominal elapsed time.
-    Returns (residual in (-pi, pi], PhaseEstimate, phi_common, (n0, k0, n1, k1)).
+    Returns (residual in (-pi, pi], PhaseEstimate, phi_common, readout), where
+    readout is (theta_hat, sigma_theta, n0, k0, n1, k1), as the runners list them.
     """
     (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
     phi_common = transport_phase(cfg.transport, species, freq, rng)
-    est, counts = _read_out(cfg, species, freq, blocks, phi_common, tau, rng)
+    est, (n0, k0, n1, k1) = _read_out(cfg, species, freq, blocks, phi_common, tau, rng)
     theta_exp = canonicalize(basis_for(cfg.clock_b, species).delta - freq.omega * nominal)
-    return wrap_pi(theta_exp - est.theta_hat), est, phi_common, counts
+    readout = (est.theta_hat, est.sigma_theta, float(n0), float(k0), float(n1), float(k1))
+    return wrap_pi(theta_exp - est.theta_hat), est, phi_common, readout
 
 
 # -- protocols --------------------------------------------------------------
@@ -237,27 +268,19 @@ def _phase_residual(cfg, species, freq, tau, nominal, rng):
 # checks that once per run.
 
 
+#: One layout per protocol and species names, so a run formats its keys once.
+_layout = functools.cache(Layout)
+
+
 def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """Single-species time-offset recovery (protocol steps 1-4)."""
     ((species, freq),) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
-    residual, est, phi_common, counts = _phase_residual(cfg, species, freq, tau, nominal, rng)
-    n0, k0, n1, k1 = counts
-
-    truth = {
-        "time_offset": tau - nominal,
-        "rate_offset": cfg.clock_b.y,
-        f"phi_common_{species}": phi_common,
-    }
-    estimate = {"time_offset": residual / freq.omega}
-    diagnostics = {
-        "theta_hat": est.theta_hat,
-        "sigma_theta": est.sigma_theta,
-        "sigma_time": est.sigma_theta / freq.omega,
-        "pairs_used": float(est.n_used),
-        "n0": float(n0), "k0": float(k0), "n1": float(n1), "k1": float(k1),
-    }
-    return _make_result(Protocol.QCS_BASIC, trial_id, truth, estimate, diagnostics)
+    residual, est, phi_common, readout = _phase_residual(cfg, species, freq, tau, nominal, rng)
+    t_true, t_hat = tau - nominal, residual / freq.omega
+    return _layout(Protocol.QCS_BASIC, species).row(trial_id, (
+        t_true, cfg.clock_b.y, phi_common, t_hat, t_hat - t_true,
+        *readout, float(est.n_used), est.sigma_theta / freq.omega))
 
 
 def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
@@ -272,29 +295,14 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """
     (sp1, f1), (sp2, f2) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
-
-    truth = {"time_offset": tau - nominal, "rate_offset": cfg.clock_b.y}
-    diagnostics = {}
-    residuals = {}
-    for species, freq in ((sp1, f1), (sp2, f2)):
-        residuals[species], est, phi_common, counts = _phase_residual(
-            cfg, species, freq, tau, nominal, rng
-        )
-        truth[f"phi_common_{species}"] = phi_common
-        diagnostics[f"theta_hat_{species}"] = est.theta_hat
-        diagnostics[f"sigma_theta_{species}"] = est.sigma_theta
-        diagnostics[f"t_hat_{species}"] = residuals[species] / freq.omega
-        for key, value in zip(("n0", "k0", "n1", "k1"), counts):
-            diagnostics[f"{key}_{species}"] = float(value)
-
+    r1, e1, phi1, out1 = _phase_residual(cfg, sp1, f1, tau, nominal, rng)
+    r2, e2, phi2, out2 = _phase_residual(cfg, sp2, f2, tau, nominal, rng)
     beat_omega = f1.omega - f2.omega
-    beat_residual = wrap_pi(residuals[sp1] - residuals[sp2])
-    t_beat = beat_residual / beat_omega
-    sigma_beat = math.hypot(diagnostics[f"sigma_theta_{sp1}"], diagnostics[f"sigma_theta_{sp2}"])
-    diagnostics["sigma_time"] = sigma_beat / abs(beat_omega)
-
-    estimate = {"time_offset": t_beat}
-    return _make_result(Protocol.QCS_BEAT, trial_id, truth, estimate, diagnostics)
+    t_true, t_beat = tau - nominal, wrap_pi(r1 - r2) / beat_omega
+    return _layout(Protocol.QCS_BEAT, sp1, sp2).row(trial_id, (
+        t_true, cfg.clock_b.y, phi1, phi2, t_beat, t_beat - t_true,
+        *out1, r1 / f1.omega, *out2, r2 / f2.omega,
+        math.hypot(e1.sigma_theta, e2.sigma_theta) / abs(beat_omega)))
 
 
 def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
@@ -325,23 +333,15 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
         estimates.append(_read_out(cfg, species, freq, blocks, phi_common, tau, rng)[0])
     e1, e2 = estimates
     rate = estimate_rate(e1, t1, e2, t2, freq)
-    diagnostics = {
-        "theta_hat_1": e1.theta_hat, "sigma_theta_1": e1.sigma_theta,
-        "theta_hat_2": e2.theta_hat, "sigma_theta_2": e2.sigma_theta,
-        "sigma_rate": rate.sigma_y,
-    }
-
-    truth = {"rate_offset": cfg.clock_b.y, f"phi_common_{species}": phi_common}
-    estimate = {"rate_offset": rate.y_hat}
-    return _make_result(Protocol.QCS_SYNTONIZE, trial_id, truth, estimate, diagnostics)
+    return _layout(Protocol.QCS_SYNTONIZE, species).row(trial_id, (
+        cfg.clock_b.y, phi_common, rate.y_hat, rate.y_hat - cfg.clock_b.y,
+        e1.theta_hat, e1.sigma_theta, e2.theta_hat, e2.sigma_theta, rate.sigma_y))
 
 
 def run_esct(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """Slow-clock-transport baseline: the arrival error is the whole story."""
     err = esct_transfer(cfg.trip, rng)
-    truth = {"time_offset": 0.0}
-    estimate = {"time_offset": err}
-    return _make_result(Protocol.ESCT_BASELINE, trial_id, truth, estimate, {})
+    return _layout(Protocol.ESCT_BASELINE).row(trial_id, (0.0, err, err - 0.0))
 
 
 _RUNNERS = {

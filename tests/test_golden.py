@@ -213,6 +213,43 @@ def test_outputs_match_golden_bytes(case, tmp_path):
     assert got == {k: v for k, v in recorded.items() if k.startswith(f"{case}/")}
 
 
+#: results.csv headers of five of the cases above. Unlike the hashes they do
+#: not depend on the numpy version, so they never skip.
+_QCS_COLUMNS = ["truth_phi_common_cs", "truth_rate_offset", "truth_time_offset",
+                "estimate_time_offset", "error_time_offset", "diagnostics_k0", "diagnostics_k1",
+                "diagnostics_n0", "diagnostics_n1", "diagnostics_pairs_used",
+                "diagnostics_sigma_theta", "diagnostics_sigma_time", "diagnostics_theta_hat"]
+HEADERS = {
+    "qcs": ["trial_id", "protocol", *_QCS_COLUMNS],
+    "beat": ["trial_id", "protocol", "truth_phi_common_cs", "truth_phi_common_rb",
+             "truth_rate_offset", "truth_time_offset", "estimate_time_offset",
+             "error_time_offset", "diagnostics_k0_cs", "diagnostics_k0_rb", "diagnostics_k1_cs",
+             "diagnostics_k1_rb", "diagnostics_n0_cs", "diagnostics_n0_rb", "diagnostics_n1_cs",
+             "diagnostics_n1_rb", "diagnostics_sigma_theta_cs", "diagnostics_sigma_theta_rb",
+             "diagnostics_sigma_time", "diagnostics_t_hat_cs", "diagnostics_t_hat_rb",
+             "diagnostics_theta_hat_cs", "diagnostics_theta_hat_rb"],
+    "syntonize": ["trial_id", "protocol", "truth_phi_common_cs", "truth_rate_offset",
+                  "estimate_rate_offset", "error_rate_offset", "diagnostics_sigma_rate",
+                  "diagnostics_sigma_theta_1", "diagnostics_sigma_theta_2",
+                  "diagnostics_theta_hat_1", "diagnostics_theta_hat_2"],
+    "esct": ["trial_id", "protocol", "truth_time_offset", "estimate_time_offset",
+             "error_time_offset"],
+    "compare": ["trial_id", "protocol", *_QCS_COLUMNS],  # esct rows leave qcs-only cells empty
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADERS))
+def test_results_header_matches_recorded_columns(case, tmp_path):
+    kwargs, cfg = _cases()[case]
+    kwargs = dict(kwargs)
+    run_experiment(kwargs.pop("subcommand"), cfg, tmp_path, **kwargs)
+    header = (tmp_path / "results.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+    moved = [(i, want, got) for i, (want, got) in enumerate(zip(HEADERS[case], header))
+             if want != got]
+    assert not moved, f"column {moved[0][0]} is {moved[0][2]!r}, recorded {moved[0][1]!r}"
+    assert header == HEADERS[case]
+
+
 if __name__ == "__main__":
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,9 +5,9 @@ import pytest
 
 from qcs_sim import ConfigError, Protocol, compare_equivalence, run_experiment, run_trials
 from qcs_sim.cli import _parse_values, main
-from qcs_sim.harness import apply_sweep_value, config_sha256
+from qcs_sim.harness import apply_sweep_value, config_sha256, write_results_csv
 
-from scenarios import OMEGA_CS, matched_compare, one_species
+from scenarios import OMEGA_CS, OMEGA_RB, matched_compare, one_species, two_species
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -45,6 +45,32 @@ def test_results_csv_layout_and_precision(tmp_path):
     est = float(row["estimate_time_offset"])
     truth = float(row["truth_time_offset"])
     assert err == est - truth
+
+
+def test_results_csv_fills_each_cell_from_its_own_layout(tmp_path):
+    # three layouts, two of them beat with other species names: every cell
+    # holds the value its header names, or stays empty
+    results = [
+        *run_trials(Protocol.QCS_BEAT, two_species(
+            ensemble_size=5000, species={"rb": OMEGA_RB, "cs": OMEGA_CS}).with_run(1, 2)),
+        *run_trials(Protocol.QCS_BASIC, one_species(ensemble_size=5000).with_run(1, 2)),
+        *run_trials(Protocol.QCS_BEAT, two_species(
+            ensemble_size=5000, species={"aa": OMEGA_RB, "zz": OMEGA_CS},
+            clock_a={"delta_by_species": {"aa": 0.0, "zz": 0.0}},
+            clock_b={"delta_by_species": {"aa": 0.0, "zz": 0.0}},
+            transport={"beta_by_species": {"aa": 0.0, "zz": 0.0}}).with_run(1, 2)),
+    ]
+    write_results_csv(tmp_path / "results.csv", results)
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    groups = ("truth", "estimate", "error", "diagnostics")
+    columns = [tuple(name.split("_", 1)) for name in header[2:]]
+    assert columns == sorted(columns, key=lambda c: (groups.index(c[0]), c[1]))
+    for r, line in zip(results, lines[2:], strict=True):
+        cells = dict(zip(header, line.split(",")))
+        assert (cells.pop("trial_id"), cells.pop("protocol")) == (str(r.trial_id), r.protocol)
+        filled = {f"{g}_{k}": "%.17g" % v for g in groups for k, v in getattr(r, g).items()}
+        assert cells == {name: filled.get(name, "") for name in cells}
 
 
 def test_reruns_are_byte_identical(tmp_path):

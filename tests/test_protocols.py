@@ -83,11 +83,19 @@ def test_basic_rejects_two_species():
 
 
 def test_error_map_is_estimate_minus_truth():
-    cfg = one_species(clock_b={"x0": 2e-8, "delta_by_species": {"cs": 0.3}})
-    r = run_qcs_basic(cfg, trial_stream(8, 0))
-    for key, value in r.error.items():
-        assert value == r.estimate[key] - r.truth[key]
-    assert set(r.error) == set(r.estimate) & set(r.truth)
+    runs = (
+        (run_qcs_basic, one_species(clock_b={"x0": 2e-8, "delta_by_species": {"cs": 0.3}})),
+        (run_qcs_beat,
+         two_species(clock_b={"x0": 2e-8, "delta_by_species": {"cs": 0.3, "rb": 0.0}})),
+        (run_qcs_syntonize, syntonize()),
+        (run_esct, matched_compare()),
+    )
+    for runner, cfg in runs:
+        r = runner(cfg, trial_stream(8, 0))
+        for key, value in r.error.items():
+            assert value == r.estimate[key] - r.truth[key]
+        assert set(r.error) == set(r.estimate) & set(r.truth)
+        assert r.error[r.protocol.error_key] != 0.0
 
 
 def test_same_seed_same_config_is_deterministic():
@@ -268,6 +276,22 @@ def test_beat_does_not_remove_transport_delay():
     r = run_qcs_beat(cfg, trial_stream(0, 0))
     assert relerr(abs(r.error["time_offset"]), 1e-9) < 1e-9
     assert r.error["time_offset"] < 0  # documented sign convention: -alpha
+
+
+def test_beat_columns_follow_species_names_whatever_their_config_order():
+    # rb listed first; each species' transport phase is its own beta exactly
+    cfg = two_species(
+        species={"rb": OMEGA_RB, "cs": OMEGA_CS},
+        ensemble_size=200_000,
+        transport={"beta_by_species": {"cs": -0.2, "rb": 0.3}},
+    )
+    r = run_qcs_beat(cfg, trial_stream(5, 0))
+    assert set(r.truth) == {"phi_common_cs", "phi_common_rb", "rate_offset", "time_offset"}
+    assert (r.truth["phi_common_cs"], r.truth["phi_common_rb"]) == (-0.2, 0.3)
+    # each species alone is biased by -beta/omega, its own and not the other's
+    for species, omega, beta in (("cs", OMEGA_CS, -0.2), ("rb", OMEGA_RB, 0.3)):
+        miss = r.diagnostics[f"t_hat_{species}"] * omega + beta
+        assert abs(miss) < 5 * r.diagnostics[f"sigma_theta_{species}"], species
 
 
 # -- syntonization ----------------------------------------------------------------

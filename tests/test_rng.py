@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcs_sim import ConfigError, Protocol, TrialResult, run_trials, trial_stream
-from qcs_sim.protocols import LANE_BASELINE, _RUNNERS
+from qcs_sim.protocols import LANE_BASELINE, _RUNNERS, Layout
 from qcs_sim.rng import trial_streams
 
 from scenarios import matched_compare, syntonize, two_species
@@ -102,5 +102,7 @@ def test_run_trials_matches_one_fresh_stream_per_trial(name):
 
 
 def test_reachability_walk_sees_a_generator_inside_a_trial_result():
-    held = TrialResult(Protocol.ESCT_BASELINE, 0, {}, {}, {}, {"rng": trial_stream(0, 0)})
+    held = Layout(Protocol.ESCT_BASELINE).row(0, (0.0, trial_stream(0, 0), 0.0))
+    assert isinstance(held, TrialResult)
+    assert isinstance(held.estimate["time_offset"], np.random.Generator)
     assert [o for o in _reachable([held]) if isinstance(o, np.random.BitGenerator)]

@@ -29,11 +29,17 @@ def test_benchmark_tracer_instruments_installs_and_restores(monkeypatch, tmp_pat
         tracer.uninstall()
     assert (dict(protocols._RUNNERS), harness.run_trials, protocols.transport_phase) == originals
     taken = tracer.take()
-    assert spans.Profile(tracer).analyse(taken) == []
+    profile = spans.Profile(tracer)
+    assert profile.analyse(taken) == []
     assert counters.ensemble == 2 * cfg.ensemble_size
     # the readout reaches the estimator and the quantum core through the
-    # names the tracer wraps, so their layers' times and counts are not empty
+    # names the tracer wraps, so their layers' times and counts are not empty;
+    # a trial runs through the runner table and the rows through the writer global
     recorded = {tracer.names[name_id] for name_id, *_ in taken}
-    for name in ("protocols.estimate_phase", "protocols.evolve", "protocols.prob_pos"):
+    for name in ("protocols.estimate_phase", "protocols.evolve", "protocols.prob_pos",
+                 "protocols.run_qcs_basic", "harness.write_results_csv"):
         assert name in recorded, name
     assert counters.n_used > 0
+    metrics = spans.layer_metrics(profile, counters, {})
+    assert metrics["protocols.trial_samples"] == (2, "count")
+    assert metrics["harness.write_s"][0] > 0.0
