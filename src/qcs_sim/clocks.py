@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConfigError
@@ -31,6 +32,7 @@ class ClockModel:
     delta_by_species: Mapping[str, BasisPhase] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "delta_by_species", MappingProxyType(dict(self.delta_by_species)))
         for name in ("x0", "y", "sigma_read"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -5,7 +5,8 @@ README for the field/unit reference). The dataclasses are the schema: their
 fields name the keys, their annotations type the values, and their defaults
 fill in what a file leaves out. One reader (`_read`) and one writer
 (`_plain`) walk them. Only `species` and the per-species delta/beta entries
-are mandatory; everything else has perfect-model defaults.
+are mandatory; everything else has perfect-model defaults. Mapping fields
+are read-only copies, so a config's cached `ScenarioConfig.sha256` holds.
 
 Validation stays in the models' `__post_init__` and is strict: unknown keys,
 wrong types, missing cross-references and out-of-range values all raise
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import numbers
@@ -23,6 +25,7 @@ import re
 import typing
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any
 
 _SPECIES_ID = re.compile(r"[A-Za-z0-9_]+")
@@ -83,6 +86,7 @@ class ScenarioConfig:
     noiseless: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "species", MappingProxyType(dict(self.species)))
         if len(self.species) == 0:
             raise ConfigError("species must name at least one species")
         for sp in self.species:
@@ -132,6 +136,12 @@ class ScenarioConfig:
         """A copy with a run's overrides (None keeps the stored value), checked like the fields."""
         given = {k: _int(v, k) for k, v in (("seed", seed), ("trials", trials)) if v is not None}
         return dataclasses.replace(self, **given) if given else self
+
+    @functools.cached_property
+    def sha256(self) -> str:
+        """SHA-256 of the canonical JSON form: the manifest's config_sha256."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # -- (de)serialization ------------------------------------------------
 

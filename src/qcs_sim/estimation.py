@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AmbiguityError, DegenerateCountsError, InsufficientSamplesError
 from .quantum import TWO_PI, BasisPhase, Frequency, canonicalize
@@ -40,8 +41,7 @@ class MeasurementRecord:
     basis: BasisPhase
 
 
-@dataclass(frozen=True)
-class PhaseEstimate:
+class PhaseEstimate(NamedTuple):
     """A recovered phase angle with its delta-method standard error."""
 
     theta_hat: float
@@ -49,8 +49,7 @@ class PhaseEstimate:
     n_used: float
 
 
-@dataclass(frozen=True)
-class RateEstimate:
+class RateEstimate(NamedTuple):
     """A recovered fractional rate offset with its propagated standard error."""
 
     y_hat: float

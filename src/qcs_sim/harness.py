@@ -13,15 +13,15 @@ Outputs per run directory:
 Sweeps vary one named parameter over a grid and emit sweep.csv instead of
 results.csv: one plot-ready row per grid point.
 
-A run's trials are one table of value rows (`protocols.Layout`): summaries
-read its columns, and results.csv formats rows through one template per layout.
+A run's trials are one table of value rows (`protocols.Layout`): a summary reads
+the columns it needs as one array, and results.csv rows use cached templates.
 
 Files are written only after every trial of a run has succeeded: a run that
 fails, say on a config its protocol rejects, creates no output directory.
 """
 from __future__ import annotations
 
-import hashlib
+import functools
 import json
 import math
 from pathlib import Path
@@ -47,11 +47,6 @@ _UNITS_COMMENT = (
 )
 
 
-def config_sha256(cfg: ScenarioConfig) -> str:
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _write_csv(path, header, lines):
     """The units comment, the header, then the lines, in blocks: no whole-file copy."""
     with open(path, "w", encoding="utf-8") as f:
@@ -60,44 +55,46 @@ def _write_csv(path, header, lines):
             f.write("\n".join(lines[i:i + 1000]) + "\n")
 
 
-def write_results_csv(path, results):
-    """One row per trial, in trial_id order, through one row template per layout."""
-    layouts = {r.layout for r in results}
+@functools.cache
+def _csv_format(layouts: frozenset) -> tuple[tuple, dict]:
+    """results.csv's header for trials of these layouts, and each layout's row template."""
     columns = Layout.order({c for layout in layouts for c in layout.columns})
     templates = {layout: ",".join(["%d", layout.protocol.value,
                                    *["%.17g" if c in layout.columns else "" for c in columns]])
                  for layout in layouts}
-    _write_csv(path, ["trial_id", "protocol", *[f"{g}_{k}" for g, k in columns]],
-               [templates[r.layout] % (r.trial_id, *r.values) for r in results])
+    return ("trial_id", "protocol", *[f"{g}_{k}" for g, k in columns]), templates
 
 
-def _table(results) -> dict:
-    """(group, key) -> column of values, for trials that share one layout."""
+def write_results_csv(path, results):
+    """One row per trial, in trial_id order, through one row template per layout."""
+    header, templates = _csv_format(frozenset(r.layout for r in results))
+    _write_csv(path, header, [templates[r.layout] % (r.trial_id, *r.values) for r in results])
+
+
+def _array(results, columns) -> np.ndarray:
+    """The (group, key) columns of trials that share one layout, one row per column."""
     (layout,) = {r.layout for r in results}
-    return dict(zip(layout.columns, zip(*[r.values for r in results])))
+    return np.array([[r.values[i] for r in results] for i in map(layout.columns.index, columns)])
 
 
-def _stats(values) -> dict:
-    """Mean, spread, RMS, range and 95% CI half-width of one key over the trials."""
-    n = len(values)
-    x = np.array(values)
-    std = float(np.std(x, ddof=1)) if n > 1 else 0.0
-    return {
-        "mean": float(np.mean(x)),
-        "std": std,
-        "rms": float(np.sqrt(np.mean(x**2))),
-        "min": float(np.min(x)),
-        "max": float(np.max(x)),
-        "ci95_halfwidth": 1.959963984540054 * std / math.sqrt(n) if n > 1 else 0.0,
-    }
+def _stats(x: np.ndarray, mean=None) -> list[dict]:
+    """Mean, spread, RMS, range and 95% CI half-width of each row of x (`mean`: its row means)."""
+    n = x.shape[1]
+    mean = x.mean(axis=1) if mean is None else mean
+    std = np.sqrt(((x - mean[:, None]) ** 2).sum(axis=1) / (n - 1)) if n > 1 else np.zeros(len(x))
+    stats = {"mean": mean, "std": std, "rms": np.sqrt((x**2).mean(axis=1)), "min": x.min(axis=1),
+             "max": x.max(axis=1), "ci95_halfwidth": 1.959963984540054 * std / math.sqrt(n)}
+    return [dict(zip(stats, row)) for row in zip(*[v.tolist() for v in stats.values()])]
 
 
 def summarize_trials(results) -> dict:
     """Aggregate per-error-key statistics plus mean diagnostics."""
-    columns = _table(results).items()
-    metrics = {k: _stats(column) for (g, k), column in columns if g == "error"}
-    mean_diag = {k: float(np.mean(column)) for (g, k), column in columns if g == "diagnostics"}
-    return {"trials": len(results), "metrics": metrics, "mean_diagnostics": mean_diag}
+    columns = [c for c in results[0].layout.columns if c[0] in ("error", "diagnostics")]
+    e = sum(g == "error" for g, _ in columns)  # error columns come first
+    keys, x = [k for _, k in columns], _array(results, columns)
+    mean = x.mean(axis=1)
+    return {"trials": len(results), "metrics": dict(zip(keys, _stats(x[:e], mean[:e]))),
+            "mean_diagnostics": dict(zip(keys[e:], mean[e:].tolist()))}
 
 
 #: Relative tolerance for the matched-models precondition of compare runs.
@@ -135,9 +132,9 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
     _require_matched_models(cfg)
     qcs = run_trials(Protocol.QCS_BASIC, cfg)
     esct = run_trials(Protocol.ESCT_BASELINE, cfg, lane=LANE_BASELINE)
-    qcs_columns = _table(qcs)
-    stats_qcs = _stats(qcs_columns["error", "time_offset"])
-    stats_esct = _stats(_table(esct)["error", "time_offset"])
+    stats_qcs, floor = _stats(_array(qcs, [("error", "time_offset"),
+                                            ("diagnostics", "sigma_time")]))
+    (stats_esct,) = _stats(_array(esct, [("error", "time_offset")]))
     rms_esct = stats_esct["rms"]
     return qcs + esct, {
         "trials": len(qcs),
@@ -146,7 +143,7 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
         "ratio": stats_qcs["rms"] / rms_esct if rms_esct > 0.0 else None,
         "mean_error_qcs": stats_qcs["mean"],
         "mean_error_esct": stats_esct["mean"],
-        "qcs_estimator_floor": _stats(qcs_columns["diagnostics", "sigma_time"])["rms"],
+        "qcs_estimator_floor": floor["rms"],
         "esct_floor": 0.0,
     }
 
@@ -285,7 +282,7 @@ def run_experiment(
     _write_json(out / "summary.json", summary)
     outputs = {table: f"{table}.csv", "summary": "summary.json"}
     _write_json(out / "manifest.json", {
-        "subcommand": subcommand, "config_sha256": config_sha256(cfg), "seed": run_cfg.seed,
+        "subcommand": subcommand, "config_sha256": cfg.sha256, "seed": run_cfg.seed,
         "trials": trial_counts, "outputs": outputs, "artifact_version": ARTIFACT_VERSION,
         "rng_algorithm": RNG_ALGORITHM, "sweep": sweep})
     return summary

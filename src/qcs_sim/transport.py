@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConfigError
@@ -38,6 +39,7 @@ class TransportModel:
     sigma_pair: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "beta_by_species", MappingProxyType(dict(self.beta_by_species)))
         for name in ("alpha", "sigma_common", "sigma_pair"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import pytest
 
-from qcs_sim import ConfigError, Protocol, ScenarioConfig, load_config, run_trials
+from qcs_sim import (BasisPhase, ClockModel, ConfigError, Frequency, Protocol, ScenarioConfig,
+                     TransportModel, load_config, run_trials)
 from qcs_sim.config import MIN_ENSEMBLE_PER_EPOCH
 from qcs_sim.harness import apply_sweep_value
 
@@ -180,6 +182,55 @@ def test_round_trip_is_identity():
     # and via actual JSON text
     third = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert third == cfg
+
+
+def _digest(cfg):
+    canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_sha256_is_the_digest_of_the_canonical_json():
+    cfg = ScenarioConfig.from_dict(full_doc())
+    assert cfg.sha256 == _digest(cfg)
+    assert cfg.sha256 == ScenarioConfig.from_dict(cfg.to_dict()).sha256
+
+
+@pytest.mark.parametrize("mapping", [
+    lambda cfg: cfg.species,
+    lambda cfg: cfg.clock_a.delta_by_species,
+    lambda cfg: cfg.clock_b.delta_by_species,
+    lambda cfg: cfg.transport.beta_by_species,
+])
+def test_config_mappings_are_read_only(mapping):
+    cfg = ScenarioConfig.from_dict(full_doc())
+    with pytest.raises(TypeError):
+        mapping(cfg)["cs"] = 1.0
+    with pytest.raises(TypeError):
+        mapping(cfg)["rb"] = 1.0
+    with pytest.raises(TypeError):
+        del mapping(cfg)["cs"]
+
+
+def test_dicts_mutated_after_construction_leave_config_and_hash_unchanged():
+    species = {"cs": Frequency(OMEGA)}
+    delta_a, delta_b, beta = {"cs": BasisPhase(0.1)}, {"cs": BasisPhase(0.2)}, {"cs": 0.05}
+    cfg = ScenarioConfig(species=species, ensemble_size=5000,
+                         clock_a=ClockModel(delta_by_species=delta_a),
+                         clock_b=ClockModel(delta_by_species=delta_b),
+                         transport=TransportModel(beta_by_species=beta))
+    doc, digest = cfg.to_dict(), cfg.sha256
+    species["cs"], species["rb"] = Frequency(2 * OMEGA), Frequency(3 * OMEGA)
+    delta_a["cs"], delta_b["rb"], beta["cs"] = BasisPhase(1.0), BasisPhase(1.0), 1.0
+    assert cfg.to_dict() == doc
+    assert cfg.sha256 == digest == _digest(cfg)
+
+
+def test_with_run_hashes_the_new_config():
+    cfg = ScenarioConfig.from_dict(full_doc())
+    run = cfg.with_run(seed=7)
+    assert run.sha256 != cfg.sha256
+    assert run.sha256 == _digest(run) == _digest(ScenarioConfig.from_dict(full_doc(seed=7)))
+    assert cfg.sha256 == _digest(cfg)
 
 
 def test_load_config_reports_parse_location(tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qcs_sim import ConfigError, ScenarioConfig
 from qcs_sim.config import MIN_ENSEMBLE_PER_EPOCH
-from qcs_sim.harness import config_sha256
 
 #: Deterministic, and without the explain phase, which takes minutes on a failure.
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None,
@@ -109,7 +108,7 @@ def test_valid_documents_round_trip(doc):
     again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
     assert again.to_dict() == cfg.to_dict()
-    assert config_sha256(again) == config_sha256(cfg)
+    assert again.sha256 == cfg.sha256
 
 
 @SETTINGS

@@ -1,11 +1,14 @@
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
-from qcs_sim import ConfigError, Protocol, compare_equivalence, run_experiment, run_trials
+from qcs_sim import ConfigError, Protocol, compare_equivalence, harness, run_experiment, run_trials
 from qcs_sim.cli import _parse_values, main
-from qcs_sim.harness import apply_sweep_value, config_sha256, write_results_csv
+from qcs_sim.harness import apply_sweep_value, summarize_trials, write_results_csv
+from qcs_sim.protocols import Layout
 
 from scenarios import OMEGA_CS, OMEGA_RB, matched_compare, one_species, two_species
 
@@ -27,7 +30,7 @@ def test_run_writes_results_summary_manifest(tmp_path):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 3
     assert manifest["trials"] == {"qcs": 10}
-    assert manifest["config_sha256"] == config_sha256(cfg)
+    assert manifest["config_sha256"] == cfg.sha256
     assert "Philox" in manifest["rng_algorithm"]
 
 
@@ -89,6 +92,74 @@ def test_compare_summary_fields(tmp_path):
     lines = (tmp_path / "run" / "results.csv").read_text().splitlines()
     protocols = {line.split(",")[1] for line in lines[2:]}
     assert protocols == {"qcs", "esct"}
+
+
+def _qcs_rows(trials, seed):
+    """Synthetic qcs value rows at the scales a run produces, in trial_keys order."""
+    rng = np.random.default_rng(seed)
+    truth = rng.normal(3e-8, 2e-10, trials)
+    estimate = truth + rng.normal(-5e-9, 1e-9, trials)
+    n0, n1 = rng.binomial(500_000, 0.5, (2, trials))
+    sigma = rng.uniform(1e-3, 2e-3, trials)
+    columns = [truth, np.full(trials, 1e-12), rng.normal(0.0, 0.01, trials), estimate,
+               estimate - truth, rng.uniform(0.0, 2 * math.pi, trials), sigma, n0,
+               rng.binomial(n0, 0.3), n1, rng.binomial(n1, 0.6), n0 + n1, sigma / OMEGA_CS]
+    layout = Layout(Protocol.QCS_BASIC, "cs")
+    return [layout.row(i, tuple(v)) for i, v in enumerate(np.array(columns, float).T.tolist())]
+
+
+def _esct_rows(trials, seed):
+    error = np.random.default_rng(seed).normal(5e-9, 1e-9, trials).tolist()
+    layout = Layout(Protocol.ESCT_BASELINE)
+    return [layout.row(i, (0.0, e, e - 0.0)) for i, e in enumerate(error)]
+
+
+def _reference_stats(values):
+    """One key's statistics with 1-D numpy calls, column by column."""
+    n = len(values)
+    x = np.array(values)
+    std = float(np.std(x, ddof=1)) if n > 1 else 0.0
+    return {"mean": float(np.mean(x)), "std": std, "rms": float(np.sqrt(np.mean(x**2))),
+            "min": float(np.min(x)), "max": float(np.max(x)),
+            "ci95_halfwidth": 1.959963984540054 * std / math.sqrt(n) if n > 1 else 0.0}
+
+
+def _column(results, group, key):
+    return [getattr(r, group)[key] for r in results]
+
+
+def _same(got, want):
+    """Equal, and equal as summary.json bytes, which also tell -0.0 from 0.0."""
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# 8193 and 20000 trials pass numpy's 8192-element reduction block
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 300, 8193, 20000])
+def test_summary_equals_the_column_by_column_formulas(trials):
+    results = _qcs_rows(trials, seed=trials)
+    first = results[0]
+    _same(summarize_trials(results), {
+        "trials": trials,
+        "metrics": {k: _reference_stats(_column(results, "error", k)) for k in first.error},
+        "mean_diagnostics": {k: float(np.mean(_column(results, "diagnostics", k)))
+                             for k in first.diagnostics},
+    })
+
+
+def test_compare_summary_equals_the_column_by_column_formulas(monkeypatch):
+    trials = 8193
+    lanes = {Protocol.QCS_BASIC: _qcs_rows(trials, seed=1),
+             Protocol.ESCT_BASELINE: _esct_rows(trials, seed=2)}
+    monkeypatch.setattr(harness, "run_trials", lambda protocol, cfg, lane=0: lanes[protocol])
+    qcs = _reference_stats(_column(lanes[Protocol.QCS_BASIC], "error", "time_offset"))
+    esct = _reference_stats(_column(lanes[Protocol.ESCT_BASELINE], "error", "time_offset"))
+    floor = _reference_stats(_column(lanes[Protocol.QCS_BASIC], "diagnostics", "sigma_time"))
+    _same(compare_equivalence(matched_compare()), {
+        "trials": trials, "rms_qcs": qcs["rms"], "rms_esct": esct["rms"],
+        "ratio": qcs["rms"] / esct["rms"], "mean_error_qcs": qcs["mean"],
+        "mean_error_esct": esct["mean"], "qcs_estimator_floor": floor["rms"], "esct_floor": 0.0,
+    })
 
 
 def test_sweep_emits_bias_table(tmp_path):
