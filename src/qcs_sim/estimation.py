@@ -73,11 +73,14 @@ def estimate_phase(n0, k0, delta0: float, n1, k1, delta1: float) -> PhaseEstimat
     n grows. The angle only means something when both readouts are of the
     same species at the same epoch; pairing them is the caller's job.
     """
-    for n, k_pos in ((n0, k0), (n1, k1)):
-        if not (math.isfinite(n) and n >= 1):
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not (0 <= k_pos <= n):
-            raise ValueError(f"k_pos must be in [0, n], got {k_pos} of {n}")
+    if not (math.isfinite(n0) and n0 >= 1):
+        raise ValueError(f"n must be >= 1, got {n0}")
+    if not (0 <= k0 <= n0):
+        raise ValueError(f"k_pos must be in [0, n], got {k0} of {n0}")
+    if not (math.isfinite(n1) and n1 >= 1):
+        raise ValueError(f"n must be >= 1, got {n1}")
+    if not (0 <= k1 <= n1):
+        raise ValueError(f"k_pos must be in [0, n], got {k1} of {n1}")
     gap = wrap_pi(delta1 - delta0 - 0.5 * math.pi)
     if not abs(gap) <= QUADRATURE_TOL:
         raise ValueError(

@@ -26,7 +26,9 @@ is a sequence of (good, bad) blocks: good pairs sit at the common phase,
 bad pairs (partners a shuffled list mislabels) sit half a turn away, and
 each block is in uniformly random order. Basis 0 reads the first half
 of the list, so its good count is hypergeometric block by block, and each
-basis then yields a Binomial count per kind. Independent per-pair transport
+basis then yields a Binomial count per kind. An honest list has no bad
+pairs, so each basis is one Binomial draw; the block walk runs only for
+lists with bad pairs. Independent per-pair transport
 jitter enters as the contrast factor exp(-sigma_pair**2 / 2). The per-pair
 simulation this law replaces is kept in tests/pairwise_oracle.py as the
 reference the sampler is tested against.
@@ -164,12 +166,12 @@ def _kept_lists(cfg, sizes, rng):
         ms = [0.5 * n for n in sizes]
     else:  # A's type II outcomes per sub-ensemble
         ms = [int(rng.binomial(int(n), 0.5)) for n in sizes]
-    if cfg.shuffle_type_list:
-        colors = [c for n, m in zip(sizes, ms) for c in (m, n - m)]
-        cells = rng.multivariate_hypergeometric(colors, sum(ms)).tolist()
-        announced_ii = list(zip(cells[0::2], cells[1::2]))
-    else:
-        announced_ii = [(m, 0) for m in ms]
+    if not cfg.shuffle_type_list:
+        # every partner is good; with use_type_i both types make one block of n
+        return [[(n, 0)] for n in (sizes if cfg.use_type_i else ms)]
+    colors = [c for n, m in zip(sizes, ms) for c in (m, n - m)]
+    cells = rng.multivariate_hypergeometric(colors, sum(ms)).tolist()
+    announced_ii = list(zip(cells[0::2], cells[1::2]))
     if not cfg.use_type_i:
         return [[block] for block in announced_ii]
     return [[(good, bad), (n - m - bad, m - good)]
@@ -181,8 +183,8 @@ def _split_good(blocks, n0, rng):
     g0 = g1 = 0
     for good, bad in blocks:
         take = min(n0, good + bad)
-        # numpy draws even on a split with no choice; skipping those keeps the
-        # draws of an honest list unchanged
+        # numpy draws even on a split with no choice; skipping those keeps an
+        # all-good walk draw-free, like the direct readout of an honest list
         if good and bad and 0 < take < good + bad:
             g = int(rng.hypergeometric(good, bad, take))
         else:
@@ -203,7 +205,10 @@ def _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng):
     """Counts (n0, k0, n1, k1) of B's kept list read out at delta0 (first half) and delta1."""
     p0 = prob_pos(theta, delta0)
     p1 = prob_pos(theta, delta1)
-    n_kept = sum(good + bad for good, bad in blocks)
+    n_kept = n_bad = 0
+    for good, bad in blocks:
+        n_kept += good + bad
+        n_bad += bad
     if cfg.noiseless:
         n0 = n1 = 0.5 * n_kept
         k0 = n0 * p0
@@ -217,9 +222,13 @@ def _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng):
             p1 = 0.5 + contrast * (p1 - 0.5)
         n0 = n_kept // 2
         n1 = n_kept - n0
-        g0, g1 = _split_good(blocks, n0, rng)
-        k0 = _count_pos(g0, n0 - g0, p0, rng)
-        k1 = _count_pos(g1, n1 - g1, p1, rng)
+        if n_bad:
+            g0, g1 = _split_good(blocks, n0, rng)
+            k0 = _count_pos(g0, n0 - g0, p0, rng)
+            k1 = _count_pos(g1, n1 - g1, p1, rng)
+        else:  # no bad pairs: one Binomial per basis
+            k0 = int(rng.binomial(n0, p0))
+            k1 = int(rng.binomial(n1, p1))
     return n0, k0, n1, k1
 
 

@@ -37,7 +37,9 @@ def trial_streams(seed: int, trials: int, lane: int = 0) -> Iterator[np.random.G
 
     Each yield is in the state `trial_stream(seed, i, lane)` starts in: key
     seed, counter [0, 0, lane, i], an empty output buffer and no pending
-    32-bit half-word. The Generator's own cache, its binomial set-up, is a
+    32-bit half-word; its counter, key and buffer are held as plain int
+    lists, the values of the getter's uint64 arrays, which numpy's setter
+    reads faster. The Generator's own cache, its binomial set-up, is a
     function of (n, p) alone, so it carries no draw from one trial to the
     next. Advancing the iterator rewinds the same Generator, so a caller
     must be done with trial i's stream before asking for trial i+1.
@@ -45,7 +47,10 @@ def trial_streams(seed: int, trials: int, lane: int = 0) -> Iterator[np.random.G
     rng = trial_stream(seed, 0, lane)
     bit_generator = rng.bit_generator
     state = bit_generator.state  # trial 0's fresh state, reused for every trial
-    counter = state["state"]["counter"]
+    philox = state["state"]
+    counter = philox["counter"] = philox["counter"].tolist()
+    philox["key"] = philox["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     for i in range(trials):
         counter[3] = i
         bit_generator.state = state

@@ -61,7 +61,9 @@ def test_record_validation():
     # sample-size check could reject n = 10 for another reason
     good = (1000, 500)
     for (n, k_pos), message in (((0, 0), "n must be >= 1"), ((10, 11), "k_pos must be in"),
-                                ((10, -1), "k_pos must be in")):
+                                ((10, -1), "k_pos must be in"), ((math.nan, 0), "n must be >= 1"),
+                                ((math.inf, 0), "n must be >= 1"),
+                                ((10, math.nan), "k_pos must be in")):
         with pytest.raises(ValueError, match=message):
             estimate_phase(n, k_pos, 0.0, *good, HALF_PI)
         with pytest.raises(ValueError, match=message):

@@ -16,7 +16,7 @@ from qcs_sim import (
     trial_stream,
 )
 from qcs_sim.clocks import esct_transfer
-from qcs_sim.quantum import canonicalize
+from qcs_sim.quantum import canonicalize, prob_pos
 from qcs_sim import protocols
 from qcs_sim.protocols import Protocol
 
@@ -153,6 +153,60 @@ def test_counts_match_pairwise_oracle(case):
                           ("k0-k1", lambda c: c[:, 1] - c[:, 3])):
             p = stats.ks_2samp(col(got_h), col(want_h)).pvalue
             assert p > 0.001, f"sub-ensemble {h}, {name}: KS p = {p:.2g}"
+
+
+HONEST_CASES = {
+    "plain": one_species(ensemble_size=10_001),
+    "type_i": one_species(ensemble_size=10_001, use_type_i=True),
+    "noiseless": one_species(ensemble_size=10_001, noiseless=True),
+    "noiseless+type_i": one_species(ensemble_size=10_001, noiseless=True, use_type_i=True),
+    "sigma_pair+type_i": one_species(ensemble_size=10_001, use_type_i=True,
+                                     transport={"beta_by_species": {"cs": 0.0},
+                                                "sigma_pair": 0.5}),
+    "syntonize_halves": syntonize(ensemble_size=10_001),
+    "syntonize_halves+type_i": syntonize(ensemble_size=10_001, use_type_i=True),
+}
+
+
+def _block_walk_counts(cfg, n, rng):
+    """Reference readout of an honest list of n pairs: the shuffled-list block walk.
+
+    The partners of A's type II outcomes are one block and, with use_type_i,
+    those of A's type I outcomes a second; neither holds a bad pair.
+    """
+    m = 0.5 * n if cfg.noiseless else int(rng.binomial(n, 0.5))
+    blocks = [(m, 0), (n - m, 0)] if cfg.use_type_i else [(m, 0)]
+    n_kept = sum(good for good, _ in blocks)
+    p0 = prob_pos(ORACLE_PHASES[0], 0.0)
+    p1 = prob_pos(ORACLE_PHASES[0], canonicalize(0.5 * math.pi))
+    if cfg.noiseless:
+        n0 = n1 = 0.5 * n_kept
+        return n0, n0 * p0, n1, n1 * p1
+    sigma = cfg.transport.sigma_pair
+    if sigma > 0.0:
+        contrast = math.exp(-0.5 * sigma * sigma)
+        p0 = 0.5 + contrast * (p0 - 0.5)
+        p1 = 0.5 + contrast * (p1 - 0.5)
+    n0 = n_kept // 2
+    n1 = n_kept - n0
+    g0, g1 = protocols._split_good(blocks, n0, rng)
+    return (n0, protocols._count_pos(g0, n0 - g0, p0, rng),
+            n1, protocols._count_pos(g1, n1 - g1, p1, rng))
+
+
+@pytest.mark.parametrize("case", sorted(HONEST_CASES))
+def test_honest_counts_match_block_walk(case):
+    # same counts from the same stream, and the stream left at the same place:
+    # a draw added, dropped or reordered shows in the counts or the next draw
+    cfg = HONEST_CASES[case]
+    n = cfg.ensemble_size
+    sizes = (n // 2, n - n // 2) if case.startswith("syntonize") else (n,)
+    for i in range(20):
+        got_rng, want_rng = trial_stream(7, i), trial_stream(7, i)
+        for size in sizes:
+            got = _production_counts(cfg, (size,), got_rng)
+            assert got == [_block_walk_counts(cfg, size, want_rng)]
+        assert got_rng.random() == want_rng.random()
 
 
 def _chi2_against_exact(samples, exact):
