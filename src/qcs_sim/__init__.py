@@ -27,7 +27,6 @@ from .protocols import (
     run_qcs_syntonize,
     run_trials,
 )
-from .quantum import BasisPhase, Frequency
 from .rng import trial_stream
 from .transport import TransportModel
 
@@ -35,13 +34,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityError",
-    "BasisPhase",
     "ClockModel",
     "ClockTrip",
     "ConfigError",
     "DegenerateCountsError",
     "Epochs",
-    "Frequency",
     "InsufficientSamplesError",
     "Protocol",
     "QcsSimError",

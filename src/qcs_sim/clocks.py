@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ConfigError
-from .quantum import BasisPhase
+from .quantum import canonicalize
 
 
 @dataclass(frozen=True)
@@ -22,17 +21,22 @@ class ClockModel:
     x0        initial time offset vs. true time, s
     y         fractional frequency (rate) offset, dimensionless (> -1)
     sigma_read  white timing noise per read, s (>= 0)
-    delta_by_species  oscillator basis phase per interrogated species; a fixed
-                      unknown of the apparatus, not of the measurement event
+    delta_by_species  oscillator basis phase per interrogated species, rad,
+                      stored reduced to [0, 2*pi); a fixed unknown of the
+                      apparatus, not of the measurement event
     """
 
     x0: float = 0.0
     y: float = 0.0
     sigma_read: float = 0.0
-    delta_by_species: Mapping[str, BasisPhase] = field(default_factory=dict)
+    delta_by_species: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_by_species", MappingProxyType(dict(self.delta_by_species)))
+        for sp, delta in self.delta_by_species.items():
+            if not math.isfinite(delta):
+                raise ValueError(f"delta_by_species.{sp}: delta must be finite")
+        object.__setattr__(self, "delta_by_species", MappingProxyType(
+            {sp: canonicalize(float(delta)) for sp, delta in self.delta_by_species.items()}))
         for name in ("x0", "y", "sigma_read"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -42,18 +46,12 @@ class ClockModel:
             raise ValueError(f"sigma_read must be >= 0, got {self.sigma_read}")
 
 
-def basis_for(clock: ClockModel, species: str) -> BasisPhase:
-    """Look up the oscillator basis phase for a species.
+def basis_for(clock: ClockModel, species: str) -> float:
+    """The clock's oscillator basis phase delta for a species, rad, in [0, 2*pi).
 
-    The lookup is total by contract: a missing entry is a configuration
-    error, never a silent default.
+    `ScenarioConfig` checks that every configured species has an entry.
     """
-    try:
-        return clock.delta_by_species[species]
-    except KeyError:
-        raise ConfigError(
-            f"clock has no oscillator phase (delta) entry for species {species!r}"
-        ) from None
+    return clock.delta_by_species[species]
 
 
 def read(clock: ClockModel, t_true: float, rng) -> float:

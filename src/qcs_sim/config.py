@@ -6,7 +6,8 @@ fields name the keys, their annotations type the values, and their defaults
 fill in what a file leaves out. One reader (`_read`) and one writer
 (`_plain`) walk them. Only `species` and the per-species delta/beta entries
 are mandatory; everything else has perfect-model defaults. Mapping fields
-are read-only copies, so a config's cached `ScenarioConfig.sha256` holds.
+are read-only copies and `epochs.b_measure` a tuple, so a config's cached
+`ScenarioConfig.sha256` holds.
 
 Validation stays in the models' `__post_init__` and is strict: unknown keys,
 wrong types, missing cross-references and out-of-range values all raise
@@ -32,7 +33,6 @@ _SPECIES_ID = re.compile(r"[A-Za-z0-9_]+")
 
 from .clocks import ClockModel, ClockTrip
 from .errors import ConfigError
-from .quantum import BasisPhase, Frequency
 from .transport import TransportModel
 
 #: Minimum pairs per measurement epoch. Without `use_type_i` a quadrature
@@ -54,6 +54,7 @@ class Epochs:
     b_measure: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
+        object.__setattr__(self, "b_measure", tuple(self.b_measure))
         if not math.isfinite(self.a_start):
             raise ConfigError("epochs.a_start must be finite")
         if len(self.b_measure) == 0:
@@ -68,11 +69,12 @@ class Epochs:
 class ScenarioConfig:
     """Everything one experiment needs; `with_run` applies a run's overrides.
 
-    `species` maps species id -> transition frequency; its insertion order is
-    meaningful (the first two species define the beat pair).
+    `species` maps species id -> angular frequency omega of its clock
+    transition, rad/s (finite and > 0); its insertion order is meaningful
+    (the first two species define the beat pair).
     """
 
-    species: Mapping[str, Frequency]
+    species: Mapping[str, float]
     ensemble_size: int = 100_000
     clock_a: ClockModel = field(default_factory=ClockModel)
     clock_b: ClockModel = field(default_factory=ClockModel)
@@ -89,7 +91,9 @@ class ScenarioConfig:
         object.__setattr__(self, "species", MappingProxyType(dict(self.species)))
         if len(self.species) == 0:
             raise ConfigError("species must name at least one species")
-        for sp in self.species:
+        for sp, omega in self.species.items():
+            if not (math.isfinite(omega) and omega > 0.0):
+                raise ConfigError(f"species.{sp}: omega must be finite and > 0, got {omega}")
             if not _SPECIES_ID.fullmatch(sp):
                 raise ConfigError(
                     f"species id {sp!r} must match [A-Za-z0-9_]+ (it names CSV columns)"
@@ -174,9 +178,6 @@ def _bool(value, where) -> bool:
     return value
 
 
-#: Model types written as their one float field, a bare JSON number.
-_SCALARS = (BasisPhase, Frequency)
-
 _LEAVES = {float: _number, int: _int, bool: _bool}
 
 
@@ -199,11 +200,6 @@ def _read(tp, value, path: str):
     leaf = _LEAVES.get(tp)
     if leaf is not None:
         return leaf(value, path)
-    if tp in _SCALARS:
-        try:
-            return tp(_number(value, path))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
     origin = typing.get_origin(tp)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
@@ -238,8 +234,7 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, Mapping):
         return {k: _plain(v) for k, v in value.items()}
-    doc = {name: _plain(getattr(value, name)) for name in _schema(type(value))[0]}
-    return next(iter(doc.values())) if isinstance(value, _SCALARS) else doc
+    return {name: _plain(getattr(value, name)) for name in _schema(type(value))[0]}
 
 
 def load_config(path) -> ScenarioConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import AmbiguityError, DegenerateCountsError, InsufficientSamplesError
-from .quantum import TWO_PI, BasisPhase, Frequency, canonicalize
+from .quantum import TWO_PI, BasisPhase, canonicalize
 
 #: Tolerance on the quadrature condition delta1 = delta0 + pi/2 (mod 2*pi).
 QUADRATURE_TOL = 1e-9
@@ -111,21 +111,21 @@ def estimate_rate(
     t1: float,
     e2: PhaseEstimate,
     t2: float,
-    freq: Frequency,
+    omega: float,
 ) -> RateEstimate:
     """Fractional rate offset of the local clock from phases at two epochs.
 
     t1 < t2 are the local clock readings at which the two phases were
-    measured. The phase difference is unwrapped to the branch nearest the
-    nominal advance -omega*(t2 - t1); any constant phase common to both
-    epochs (transport phase, oscillator phase) cancels in the difference.
-    The result is only unambiguous while |omega * y * (t2 - t1)| < pi, a
-    protocol constraint checked by the scenario runner, which knows the
-    configured truth.
+    measured, and omega is the species' angular frequency, rad/s. The phase
+    difference is unwrapped to the branch nearest the nominal advance
+    -omega*(t2 - t1); any constant phase common to both epochs (transport
+    phase, oscillator phase) cancels in the difference. The result is only
+    unambiguous while |omega * y * (t2 - t1)| < pi, a protocol constraint
+    checked by the scenario runner, which knows the configured truth.
     """
     if not (t2 > t1):
         raise ValueError(f"epochs must satisfy t2 > t1, got t1={t1}, t2={t2}")
-    advance_nominal = freq.omega * (t2 - t1)
+    advance_nominal = omega * (t2 - t1)
     dtheta = e2.theta_hat - e1.theta_hat
     k = round((-advance_nominal - dtheta) / TWO_PI)
     unwrapped = dtheta + TWO_PI * k

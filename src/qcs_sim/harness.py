@@ -102,11 +102,11 @@ MATCHED_MODEL_RTOL = 1e-9
 
 
 def _require_matched_models(cfg: ScenarioConfig):
-    ((species, freq),) = cfg.species.items()
+    ((species, omega),) = cfg.species.items()
     if cfg.transport.beta_by_species[species] != 0.0:
         raise ConfigError(f"transport.beta_by_species.{species} must be 0 for compare: "
                           "a clock trip has no species-dependent phase")
-    implied_jitter = cfg.transport.sigma_common / freq.omega
+    implied_jitter = cfg.transport.sigma_common / omega
     alpha_gap = abs(cfg.trip.alpha - cfg.transport.alpha)
     jitter_gap = abs(cfg.trip.jitter - implied_jitter)
     alpha_tol = MATCHED_MODEL_RTOL * max(abs(cfg.trip.alpha), abs(cfg.transport.alpha))

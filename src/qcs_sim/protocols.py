@@ -98,13 +98,13 @@ class Protocol(str, Enum):
         require_count(self.value, "configured species", len(cfg.species), self.n_species)
         require_count(self.value, "measurement epochs", len(cfg.epochs.b_measure), self.n_epochs)
         if self is Protocol.QCS_BEAT:
-            f1, f2 = cfg.species.values()
-            if f1.omega == f2.omega:
+            omega1, omega2 = cfg.species.values()
+            if omega1 == omega2:
                 raise ValueError("beat requires omega1 != omega2 (beat undefined)")
         elif self is Protocol.QCS_SYNTONIZE:
-            (freq,) = cfg.species.values()
+            (omega,) = cfg.species.values()
             t1, t2 = cfg.epochs.b_measure
-            check_rate_ambiguity(freq.omega, cfg.clock_b.y, t2 - t1)
+            check_rate_ambiguity(omega, cfg.clock_b.y, t2 - t1)
 
 
 class Layout:
@@ -232,13 +232,13 @@ def _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng):
     return n0, k0, n1, k1
 
 
-def _read_out(cfg, species, freq, blocks, phi_common, tau, rng):
+def _read_out(cfg, species, omega, blocks, phi_common, tau, rng):
     """Collapse, transport by phi_common, precession for tau, and readout of B's `blocks`.
 
     Returns (PhaseEstimate, (n0, k0, n1, k1)).
     """
-    theta = evolve(imprint_phase(basis_for(cfg.clock_a, species).delta, phi_common), freq, tau)
-    delta0 = basis_for(cfg.clock_b, species).delta
+    theta = evolve(imprint_phase(basis_for(cfg.clock_a, species), phi_common), omega, tau)
+    delta0 = basis_for(cfg.clock_b, species)
     delta1 = canonicalize(delta0 + 0.5 * math.pi)
     n0, k0, n1, k1 = counts = _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng)
     return estimate_phase(n0, k0, delta0, n1, k1, delta1), counts
@@ -256,7 +256,7 @@ def _trigger_interval(cfg, rng):
     return t_meas - t_collapse, epoch - cfg.epochs.a_start
 
 
-def _phase_residual(cfg, species, freq, tau, nominal, rng):
+def _phase_residual(cfg, species, omega, tau, nominal, rng):
     """One species' cycle and its phase residual against B's model of the pre-clock.
 
     B's model is his own basis phase advanced by the nominal elapsed time.
@@ -264,9 +264,9 @@ def _phase_residual(cfg, species, freq, tau, nominal, rng):
     readout is (theta_hat, sigma_theta, n0, k0, n1, k1), as the runners list them.
     """
     (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
-    phi_common = transport_phase(cfg.transport, species, freq, rng)
-    est, (n0, k0, n1, k1) = _read_out(cfg, species, freq, blocks, phi_common, tau, rng)
-    theta_exp = canonicalize(basis_for(cfg.clock_b, species).delta - freq.omega * nominal)
+    phi_common = transport_phase(cfg.transport, species, omega, rng)
+    est, (n0, k0, n1, k1) = _read_out(cfg, species, omega, blocks, phi_common, tau, rng)
+    theta_exp = canonicalize(basis_for(cfg.clock_b, species) - omega * nominal)
     readout = (est.theta_hat, est.sigma_theta, float(n0), float(k0), float(n1), float(k1))
     return wrap_pi(theta_exp - est.theta_hat), est, phi_common, readout
 
@@ -283,13 +283,13 @@ _layout = functools.cache(Layout)
 
 def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """Single-species time-offset recovery (protocol steps 1-4)."""
-    ((species, freq),) = cfg.species.items()
+    ((species, omega),) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
-    residual, est, phi_common, readout = _phase_residual(cfg, species, freq, tau, nominal, rng)
-    t_true, t_hat = tau - nominal, residual / freq.omega
+    residual, est, phi_common, readout = _phase_residual(cfg, species, omega, tau, nominal, rng)
+    t_true, t_hat = tau - nominal, residual / omega
     return _layout(Protocol.QCS_BASIC, species).row(trial_id, (
         t_true, cfg.clock_b.y, phi_common, t_hat, t_hat - t_true,
-        *readout, float(est.n_used), est.sigma_theta / freq.omega))
+        *readout, float(est.n_used), est.sigma_theta / omega))
 
 
 def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
@@ -302,15 +302,15 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     exactly -alpha, and a species-dependent offset beta2 - beta1 biases the
     result by (beta2 - beta1)/(omega1 - omega2).
     """
-    (sp1, f1), (sp2, f2) = cfg.species.items()
+    (sp1, omega1), (sp2, omega2) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
-    r1, e1, phi1, out1 = _phase_residual(cfg, sp1, f1, tau, nominal, rng)
-    r2, e2, phi2, out2 = _phase_residual(cfg, sp2, f2, tau, nominal, rng)
-    beat_omega = f1.omega - f2.omega
+    r1, e1, phi1, out1 = _phase_residual(cfg, sp1, omega1, tau, nominal, rng)
+    r2, e2, phi2, out2 = _phase_residual(cfg, sp2, omega2, tau, nominal, rng)
+    beat_omega = omega1 - omega2
     t_true, t_beat = tau - nominal, wrap_pi(r1 - r2) / beat_omega
     return _layout(Protocol.QCS_BEAT, sp1, sp2).row(trial_id, (
         t_true, cfg.clock_b.y, phi1, phi2, t_beat, t_beat - t_true,
-        *out1, r1 / f1.omega, *out2, r2 / f2.omega,
+        *out1, r1 / omega1, *out2, r2 / omega2,
         math.hypot(e1.sigma_theta, e2.sigma_theta) / abs(beat_omega)))
 
 
@@ -324,13 +324,13 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
     B's clock rate against the atomic frequency itself. A's clock rate does
     not enter: the collapse is a single event.
     """
-    ((species, freq),) = cfg.species.items()
+    ((species, omega),) = cfg.species.items()
     t1, t2 = cfg.epochs.b_measure
 
     t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
     n_half = cfg.ensemble_size // 2
     halves = (n_half, cfg.ensemble_size - n_half)
-    phi_common = transport_phase(cfg.transport, species, freq, rng)
+    phi_common = transport_phase(cfg.transport, species, omega, rng)
     # a shuffled list couples the halves, so both are drawn at once; an honest
     # one is drawn half by half, after B's trigger for that half
     kept = _kept_lists(cfg, halves, rng) if cfg.shuffle_type_list else None
@@ -339,9 +339,9 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
     for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
         tau = trigger_time(cfg.clock_b, epoch, rng) - t_collapse
         blocks = kept[h] if kept else _kept_lists(cfg, (n_pairs,), rng)[0]
-        estimates.append(_read_out(cfg, species, freq, blocks, phi_common, tau, rng)[0])
+        estimates.append(_read_out(cfg, species, omega, blocks, phi_common, tau, rng)[0])
     e1, e2 = estimates
-    rate = estimate_rate(e1, t1, e2, t2, freq)
+    rate = estimate_rate(e1, t1, e2, t2, omega)
     return _layout(Protocol.QCS_SYNTONIZE, species).row(trial_id, (
         cfg.clock_b.y, phi_common, rate.y_hat, rate.y_hat - cfg.clock_b.y,
         e1.theta_hat, e1.sigma_theta, e2.theta_hat, e2.sigma_theta, rate.sigma_y))

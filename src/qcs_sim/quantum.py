@@ -9,8 +9,9 @@ here: preparation is "states start equatorial" and readout is `prob_pos`, which
 folds the second pulse and the detector into one projection probability.
 
 `evolve`, `imprint_phase` and `prob_pos` take and return float angles on
-[0, 2*pi), a state phase theta and a basis phase delta; `EquatorialState`
-holds one pair's angle for the one-pair models. The simulator never holds an
+[0, 2*pi), a state phase theta and a basis phase delta, and `evolve` takes
+the angular frequency omega as a float; `EquatorialState` and `BasisPhase`
+hold one pair's angles for the one-pair models. The simulator never holds an
 ensemble of states: B's kept pairs share one common phase per trial, and the
 count sampler in `protocols` turns that phase into counts. The full
 two-complex-amplitude representation exists only in the test oracle.
@@ -41,17 +42,6 @@ def _angle(theta: float) -> float:
     return canonicalize(theta)
 
 
-@dataclass(frozen=True)
-class Frequency:
-    """Angular frequency of a clock transition, rad/s (strictly positive)."""
-
-    omega: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
-
-
 @dataclass(frozen=True, eq=False)
 class EquatorialState:
     """Equal-weight superposition with relative phase theta in [0, 2*pi).
@@ -70,7 +60,8 @@ class EquatorialState:
 class BasisPhase:
     """Phase delta of a {pos_delta, neg_delta} measurement basis, [0, 2*pi).
 
-    The basis pair is orthonormal for every delta by construction: the
+    Only the one-pair model (`collapse_singlet`) takes one; configs hold
+    each delta as a float. The basis pair is orthonormal for every delta by construction: the
     probability of the neg-type outcome is defined as 1 - prob_pos, so
     completeness holds exactly.
     """
@@ -96,7 +87,7 @@ class CollapseOutcome:
     state_b: EquatorialState
 
 
-def evolve(theta: float, freq: Frequency, tau) -> float:
+def evolve(theta: float, omega: float, tau) -> float:
     """Free precession for tau seconds: theta -> theta - omega*tau (mod 2*pi).
 
     tau may be negative (rewinding is legitimate for analysis); it must be
@@ -105,7 +96,7 @@ def evolve(theta: float, freq: Frequency, tau) -> float:
     tau = float(tau)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    return _angle(theta - freq.omega * tau)
+    return _angle(theta - omega * tau)
 
 
 def imprint_phase(theta: float, phi: float) -> float:

@@ -5,7 +5,7 @@ alpha (seconds) that every species sees scaled by its own frequency, plus a
 species-specific offset capturing that different isotopes respond differently
 to field perturbations en route. On top of that, one common-mode Gaussian
 phase is drawn per transported ensemble and an independent Gaussian phase per
-pair.
+pair. omega is always the species' angular frequency as a float, rad/s.
 
 The same model covers entanglement delivered by photons: writing the photon
 phase onto the stored qubit makes an unknown propagation delay d act exactly
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import ConfigError
-from .quantum import EquatorialState, Frequency, imprint_phase
+from .quantum import EquatorialState, imprint_phase
 
 
 @dataclass(frozen=True)
@@ -51,23 +50,16 @@ class TransportModel:
                 raise ValueError(f"beta_by_species.{sp} must be finite")
 
 
-def beta_for(model: TransportModel, species: str) -> float:
-    try:
-        return model.beta_by_species[species]
-    except KeyError:
-        raise ConfigError(
-            f"transport model has no beta entry for species {species!r}"
-        ) from None
-
-
-def transport_phase(model: TransportModel, species: str, freq: Frequency, rng) -> float:
+def transport_phase(model: TransportModel, species: str, omega: float, rng) -> float:
     """Draw the phase one transported ensemble shares, phi_common, in rad.
 
-    phi_common is the deterministic part alpha * omega + beta[species] plus
-    the common-mode jitter; it is deliberately unreduced so callers can
-    reason about unwrapped phase. Per-pair jitter is not included.
+    phi_common is the deterministic part alpha * omega + beta[species], for
+    the species' angular frequency omega (rad/s), plus the common-mode
+    jitter; it is deliberately unreduced so callers can reason about
+    unwrapped phase. Per-pair jitter is not included. `ScenarioConfig`
+    checks that every configured species has a beta entry.
     """
-    phi_common = model.alpha * freq.omega + beta_for(model, species)
+    phi_common = model.alpha * omega + model.beta_by_species[species]
     if model.sigma_common > 0.0:
         phi_common += model.sigma_common * rng.standard_normal()
     return phi_common
@@ -77,7 +69,7 @@ def apply_transport(
     state: EquatorialState,
     model: TransportModel,
     species: str,
-    freq: Frequency,
+    omega: float,
     rng,
 ):
     """Imprint the transport phase on one B-side pair.
@@ -88,7 +80,7 @@ def apply_transport(
     draw counts from phi_common and the sigma_pair contrast.
     Returns (transported_state, phi_common) with phi_common unreduced.
     """
-    phi = phi_common = transport_phase(model, species, freq, rng)
+    phi = phi_common = transport_phase(model, species, omega, rng)
     if model.sigma_pair > 0.0:
         phi = phi_common + model.sigma_pair * rng.standard_normal()
     return EquatorialState(imprint_phase(state.theta, phi)), phi_common

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qcs_sim import BasisPhase, ClockModel, ClockTrip, ConfigError
+from qcs_sim import ClockModel, ClockTrip
 from qcs_sim.clocks import basis_for, esct_transfer, read, trigger_time
+from qcs_sim.quantum import canonicalize
 
 # the stream for calls without noise, which draw nothing from it
 QUIET = np.random.default_rng(0)
@@ -48,10 +49,10 @@ def test_trigger_time_inverts_read():
 
 
 def test_delta_lookup_is_total():
-    c = ClockModel(delta_by_species={"cs": BasisPhase(0.4)})
-    assert basis_for(c, "cs").delta == 0.4
-    with pytest.raises(ConfigError, match="rb"):
-        basis_for(c, "rb")
+    # a species with no entry is ScenarioConfig's error (test_missing_delta_names_species)
+    c = ClockModel(delta_by_species={"cs": 0.4, "rb": -0.4})
+    assert basis_for(c, "cs") == 0.4
+    assert basis_for(c, "rb") == canonicalize(-0.4) == 2 * math.pi - 0.4
 
 
 def test_sigma_read_must_be_nonnegative():

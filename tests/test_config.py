@@ -4,10 +4,11 @@ import math
 
 import pytest
 
-from qcs_sim import (BasisPhase, ClockModel, ConfigError, Frequency, Protocol, ScenarioConfig,
-                     TransportModel, load_config, run_trials)
+from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
+                     load_config, run_trials)
 from qcs_sim.config import MIN_ENSEMBLE_PER_EPOCH
 from qcs_sim.harness import apply_sweep_value
+from qcs_sim.quantum import canonicalize
 
 OMEGA = 2 * math.pi * 1e6
 
@@ -45,7 +46,7 @@ def full_doc(**overrides):
 
 def test_minimal_config_loads_with_defaults():
     cfg = ScenarioConfig.from_dict(MINIMAL)
-    assert cfg.species["cs"].omega == OMEGA
+    assert cfg.species["cs"] == OMEGA
     assert cfg.clock_a.x0 == 0.0 and cfg.clock_b.y == 0.0
     assert cfg.transport.alpha == 0.0
     assert cfg.epochs.b_measure == (1.0,)
@@ -115,9 +116,12 @@ def test_model_errors_name_the_dotted_path(path, value, message):
 
 
 def test_nonpositive_omega_rejected():
-    doc = dict(MINIMAL, species={"cs": 0.0})
-    with pytest.raises(ConfigError, match="omega"):
-        ScenarioConfig.from_dict(doc)
+    for omega in (0.0, -3.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="^species.cs: omega must be finite and > 0"):
+            ScenarioConfig.from_dict(dict(MINIMAL, species={"cs": omega}))
+        # checked before the species' cross-references
+        with pytest.raises(ConfigError, match="^species.cs: omega must be finite and > 0"):
+            ScenarioConfig(species={"cs": omega})
 
 
 def test_unknown_keys_rejected():
@@ -212,17 +216,42 @@ def test_config_mappings_are_read_only(mapping):
 
 
 def test_dicts_mutated_after_construction_leave_config_and_hash_unchanged():
-    species = {"cs": Frequency(OMEGA)}
-    delta_a, delta_b, beta = {"cs": BasisPhase(0.1)}, {"cs": BasisPhase(0.2)}, {"cs": 0.05}
+    species = {"cs": OMEGA}
+    delta_a, delta_b, beta = {"cs": 0.1}, {"cs": 0.2}, {"cs": 0.05}
+    b_measure = [0.25, 0.5]
     cfg = ScenarioConfig(species=species, ensemble_size=5000,
                          clock_a=ClockModel(delta_by_species=delta_a),
                          clock_b=ClockModel(delta_by_species=delta_b),
-                         transport=TransportModel(beta_by_species=beta))
+                         transport=TransportModel(beta_by_species=beta),
+                         epochs=Epochs(b_measure=b_measure))
     doc, digest = cfg.to_dict(), cfg.sha256
-    species["cs"], species["rb"] = Frequency(2 * OMEGA), Frequency(3 * OMEGA)
-    delta_a["cs"], delta_b["rb"], beta["cs"] = BasisPhase(1.0), BasisPhase(1.0), 1.0
+    species["cs"], species["rb"] = 2 * OMEGA, 3 * OMEGA
+    delta_a["cs"], delta_b["rb"], beta["cs"] = 1.0, 1.0, 1.0
+    b_measure[0] = 0.1
+    b_measure.append(1.0)
+    assert cfg.epochs.b_measure == (0.25, 0.5)
     assert cfg.to_dict() == doc
     assert cfg.sha256 == digest == _digest(cfg)
+
+
+def test_deltas_are_stored_reduced_and_the_hash_is_pinned():
+    doc = {
+        "species": {"cs": 6283185, "rb": 4.4e6},
+        "ensemble_size": 10000,
+        "clock_a": {"delta_by_species": {"cs": -0.5, "rb": 7.0}},
+        "clock_b": {"delta_by_species": {"cs": 6.283185307179586, "rb": -1e-300}},
+        "transport": {"beta_by_species": {"cs": 0.0, "rb": 0.0}},
+    }
+    cfg = ScenarioConfig.from_dict(doc)
+    for clock in ("clock_a", "clock_b"):
+        given = doc[clock]["delta_by_species"]
+        stored = dict(getattr(cfg, clock).delta_by_species)
+        assert stored == {sp: canonicalize(x) for sp, x in given.items()}
+        assert cfg.to_dict()[clock]["delta_by_species"] == stored
+    assert dict(cfg.clock_b.delta_by_species) == {"cs": 0.0, "rb": 0.0}
+    assert cfg.clock_a.delta_by_species["cs"] == 2 * math.pi - 0.5
+    # pinned: a change to the stored deltas or to the JSON form moves it
+    assert cfg.sha256 == "fb39adbd78006c634f186a9475f74884854caad23e98662d7955afc8326958df"
 
 
 def test_with_run_hashes_the_new_config():

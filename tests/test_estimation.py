@@ -6,7 +6,6 @@ import pytest
 from qcs_sim import (
     AmbiguityError,
     DegenerateCountsError,
-    Frequency,
     InsufficientSamplesError,
 )
 from qcs_sim.estimation import (
@@ -167,31 +166,31 @@ def rate_records(y, omega, t1, t2, n=100_000, common_phase=0.0):
 
 
 def test_rate_zero_for_perfect_clock():
-    f = Frequency(TWO_PI * 1e6)
-    e1, e2 = rate_records(0.0, f.omega, 1e-3, 2e-3)
-    rate = estimate_rate(e1, 1e-3, e2, 2e-3, f)
+    omega = TWO_PI * 1e6
+    e1, e2 = rate_records(0.0, omega, 1e-3, 2e-3)
+    rate = estimate_rate(e1, 1e-3, e2, 2e-3, omega)
     assert abs(rate.y_hat) < 1e-12
     assert rate.sigma_y > 0.0
 
 
 def test_rate_recovers_configured_offset():
-    f = Frequency(TWO_PI * 1e6)
+    omega = TWO_PI * 1e6
     y = 1e-9
-    t1, t2 = 0.0012, 0.0012 + 0.5 / (f.omega * y)  # half a radian of advance
-    e1, e2 = rate_records(y, f.omega, t1, t2)
-    rate = estimate_rate(e1, t1, e2, t2, f)
+    t1, t2 = 0.0012, 0.0012 + 0.5 / (omega * y)  # half a radian of advance
+    e1, e2 = rate_records(y, omega, t1, t2)
+    rate = estimate_rate(e1, t1, e2, t2, omega)
     # idealized counts: accurate to the y^2 linearization and float dust
     assert abs(rate.y_hat - y) < 1e-15 + y * y
 
 
 def test_rate_invariant_under_common_phase():
-    f = Frequency(TWO_PI * 1e6)
+    omega = TWO_PI * 1e6
     y = 1e-9
-    t1, t2 = 0.0012, 0.0012 + 0.5 / (f.omega * y)
-    base = estimate_rate(*_interleave(rate_records(y, f.omega, t1, t2), t1, t2), f)
+    t1, t2 = 0.0012, 0.0012 + 0.5 / (omega * y)
+    base = estimate_rate(*_interleave(rate_records(y, omega, t1, t2), t1, t2), omega)
     for phi in (1.0, 2.0, 4.0):
         shifted = estimate_rate(
-            *_interleave(rate_records(y, f.omega, t1, t2, common_phase=phi), t1, t2), f
+            *_interleave(rate_records(y, omega, t1, t2, common_phase=phi), t1, t2), omega
         )
         assert abs(shifted.y_hat - base.y_hat) < 1e-13
 
@@ -203,7 +202,7 @@ def _interleave(ests, t1, t2):
 def test_rate_epoch_ordering():
     e = PhaseEstimate(0.0, 1e-3, 1000)
     with pytest.raises(ValueError):
-        estimate_rate(e, 2.0, e, 1.0, Frequency(1.0))
+        estimate_rate(e, 2.0, e, 1.0, 1.0)
 
 
 def test_ambiguity_guard():

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from qcs_sim import ConfigError, Protocol, compare_equivalence, harness, run_experiment, run_trials
+from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
+                     compare_equivalence, harness, run_experiment, run_trials)
 from qcs_sim.cli import _parse_values, main
 from qcs_sim.harness import apply_sweep_value, summarize_trials, write_results_csv
 from qcs_sim.protocols import Layout
@@ -82,6 +83,26 @@ def test_reruns_are_byte_identical(tmp_path):
     run_experiment("qcs", cfg, tmp_path / "b", seed=5)
     for name in ("results.csv", "summary.json", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_config_built_in_python_writes_the_bytes_of_its_document(tmp_path):
+    # a list of epochs, float omega and deltas outside [0, 2*pi)
+    built = ScenarioConfig(species={"cs": OMEGA_CS}, ensemble_size=5000, trials=4,
+                           clock_a=ClockModel(delta_by_species={"cs": -0.5}),
+                           clock_b=ClockModel(x0=3e-8, delta_by_species={"cs": 7.0}),
+                           transport=TransportModel(beta_by_species={"cs": 0.0}),
+                           epochs=Epochs(b_measure=[0.25]))
+    loaded = ScenarioConfig.from_dict({
+        "species": {"cs": OMEGA_CS}, "ensemble_size": 5000, "trials": 4,
+        "clock_a": {"delta_by_species": {"cs": -0.5}},
+        "clock_b": {"x0": 3e-8, "delta_by_species": {"cs": 7.0}},
+        "transport": {"beta_by_species": {"cs": 0.0}},
+        "epochs": {"b_measure": [0.25]},
+    })
+    run_experiment("qcs", built, tmp_path / "built", seed=5)
+    run_experiment("qcs", loaded, tmp_path / "loaded", seed=5)
+    for name in ("results.csv", "summary.json", "manifest.json"):
+        assert (tmp_path / "built" / name).read_bytes() == (tmp_path / "loaded" / name).read_bytes()
 
 
 def test_compare_summary_fields(tmp_path):

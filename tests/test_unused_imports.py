@@ -1,0 +1,42 @@
+"""Every module-level import in `src/qcs_sim` is used by its module.
+
+A stdlib stand-in for a linter's unused-import rule (F401). An import kept on
+purpose, such as a name only the benchmark tracer looks up in a module, says
+so with `# noqa: F401` on its line. `__init__.py` re-exports names and is not
+checked.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qcs_sim"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that nothing in the module reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_unused_import_and_honours_noqa():
+    assert unused_imports("import math\nimport os\nx = math.pi\n") == ["line 2: os"]
+    assert unused_imports("from a import b  # noqa: F401\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
