@@ -8,8 +8,7 @@ quantitative: with matched disturbance models, the phase a transported qubit
 picks up makes the entangled protocol's time error match the transported
 clock's, so the schemes are equivalent up to estimation noise.
 """
-from .clocks import ClockModel, ClockTrip
-from .config import Epochs, ScenarioConfig, load_config
+from .config import ClockModel, ClockTrip, Epochs, ScenarioConfig, TransportModel, load_config
 from .errors import (
     AmbiguityError,
     ConfigError,
@@ -28,7 +27,6 @@ from .protocols import (
     run_trials,
 )
 from .rng import trial_stream
-from .transport import TransportModel
 
 __version__ = "0.1.0"
 

@@ -1,49 +1,15 @@
-"""Local clock models for the two sites, plus the physical clock-trip baseline.
+"""Readings of the two sites' local clocks, plus the physical clock-trip baseline.
 
 Clocks are linear: reading(t) = x0 + (1 + y) * t with optional white noise per
 read. Richer noise (flicker, random walk) is deliberately out of scope; the
-protocols analyzed here assume at most a constant rate offset.
+protocols analyzed here assume at most a constant rate offset. The models,
+`ClockModel` and `ClockTrip`, are config sections and live in `config`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
 
-from .quantum import canonicalize
-
-
-@dataclass(frozen=True)
-class ClockModel:
-    """A site-local clock/oscillator.
-
-    x0        initial time offset vs. true time, s
-    y         fractional frequency (rate) offset, dimensionless (> -1)
-    sigma_read  white timing noise per read, s (>= 0)
-    delta_by_species  oscillator basis phase per interrogated species, rad,
-                      stored reduced to [0, 2*pi); a fixed unknown of the
-                      apparatus, not of the measurement event
-    """
-
-    x0: float = 0.0
-    y: float = 0.0
-    sigma_read: float = 0.0
-    delta_by_species: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for sp, delta in self.delta_by_species.items():
-            if not math.isfinite(delta):
-                raise ValueError(f"delta_by_species.{sp}: delta must be finite")
-        object.__setattr__(self, "delta_by_species", MappingProxyType(
-            {sp: canonicalize(float(delta)) for sp, delta in self.delta_by_species.items()}))
-        for name in ("x0", "y", "sigma_read"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.y <= -1.0:
-            raise ValueError(f"y must be > -1, got {self.y}")
-        if self.sigma_read < 0.0:
-            raise ValueError(f"sigma_read must be >= 0, got {self.sigma_read}")
+from .config import ClockModel, ClockTrip
 
 
 def basis_for(clock: ClockModel, species: str) -> float:
@@ -78,31 +44,6 @@ def trigger_time(clock: ClockModel, reading: float, rng) -> float:
     if clock.sigma_read > 0.0:
         noise = clock.sigma_read * rng.standard_normal()
     return (reading - clock.x0 - noise) / (1.0 + clock.y)
-
-
-@dataclass(frozen=True)
-class ClockTrip:
-    """One slow physical transport of a synchronized clock to the remote site.
-
-    duration  trip length, s (> 0); descriptive only
-    alpha     deterministic time error accumulated during the trip, s
-    jitter    std. dev. of the random trip error, s (>= 0)
-
-    alpha = jitter = 0 is the perfect clock trip.
-    """
-
-    duration: float = 1.0
-    alpha: float = 0.0
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        for name in ("duration", "alpha", "jitter"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
 
 def esct_transfer(trip: ClockTrip, rng) -> float:

@@ -3,16 +3,14 @@
 A scenario is one JSON object whose sections mirror the model types (see
 README for the field/unit reference). The dataclasses are the schema: their
 fields name the keys, their annotations type the values, and their defaults
-fill in what a file leaves out. One reader (`_read`) and one writer
-(`_plain`) walk them. Only `species` and the per-species delta/beta entries
-are mandatory; everything else has perfect-model defaults. Mapping fields
-are read-only copies and `epochs.b_measure` a tuple, so a config's cached
-`ScenarioConfig.sha256` holds.
-
-Validation stays in the models' `__post_init__` and is strict: unknown keys,
-wrong types, missing cross-references and out-of-range values all raise
-ConfigError naming the offending field by its dotted path, such as
-`clock_b.sigma_read` or `transport.beta_by_species.cs`.
+fill in what a file leaves out. Only `species` and the per-species
+delta/beta entries are mandatory. One field pass (`_value`) reads a file
+and starts every model's `__post_init__`, so a config built in Python is
+checked and stored as a loaded one is: floats as finite `float`s, mappings
+as read-only copies, `epochs.b_measure` as a tuple, and the cached
+`ScenarioConfig.sha256` holds. The models then check ranges and
+cross-references. Every error a file can cause is a ConfigError that names
+the field by its dotted path, such as `transport.beta_by_species.cs`.
 """
 from __future__ import annotations
 
@@ -29,11 +27,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any
 
-_SPECIES_ID = re.compile(r"[A-Za-z0-9_]+")
-
-from .clocks import ClockModel, ClockTrip
 from .errors import ConfigError
-from .transport import TransportModel
+from .quantum import canonicalize
+
+_SPECIES_ID = re.compile(r"[A-Za-z0-9_]+")
 
 #: Minimum pairs per measurement epoch. Without `use_type_i` a quadrature
 #: keeps m/2 of the m type-II pairs, and m ~ Bin(N, 1/2), so a quadrature
@@ -47,6 +44,84 @@ MAX_SHUFFLED_ENSEMBLE = 10**9
 
 
 @dataclass(frozen=True)
+class ClockModel:
+    """A site-local clock/oscillator (see `clocks` for its readings).
+
+    x0        initial time offset vs. true time, s
+    y         fractional frequency (rate) offset, dimensionless (> -1)
+    sigma_read  white timing noise per read, s (>= 0)
+    delta_by_species  oscillator basis phase per interrogated species, rad,
+                      stored reduced to [0, 2*pi); a fixed unknown of the
+                      apparatus, not of the measurement event
+    """
+
+    x0: float = 0.0
+    y: float = 0.0
+    sigma_read: float = 0.0
+    delta_by_species: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _store_fields(self)
+        for sp, delta in self.delta_by_species.items():
+            if not math.isfinite(delta):
+                raise ValueError(f"delta_by_species.{sp}: delta must be finite")
+        _store(self, "delta_by_species",
+               {sp: canonicalize(delta) for sp, delta in self.delta_by_species.items()})
+        if self.y <= -1.0:
+            raise ValueError(f"y must be > -1, got {self.y}")
+        if self.sigma_read < 0.0:
+            raise ValueError(f"sigma_read must be >= 0, got {self.sigma_read}")
+
+
+@dataclass(frozen=True)
+class ClockTrip:
+    """One slow physical transport of a synchronized clock to the remote site.
+
+    duration  trip length, s (> 0); descriptive only
+    alpha     deterministic time error accumulated during the trip, s
+    jitter    std. dev. of the random trip error, s (>= 0)
+
+    alpha = jitter = 0 is the perfect clock trip.
+    """
+
+    duration: float = 1.0
+    alpha: float = 0.0
+    jitter: float = 0.0
+
+    def __post_init__(self):
+        _store_fields(self)
+        if self.duration <= 0.0:
+            raise ValueError(f"duration must be > 0, got {self.duration}")
+        if self.jitter < 0.0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+
+
+@dataclass(frozen=True)
+class TransportModel:
+    """Frequency-dependent deterministic phase plus two Gaussian jitter scales.
+
+    alpha         effective transport delay, s; deterministic phase = alpha*omega
+    beta_by_species  extra per-species phase, rad (field-sensitivity offset)
+    sigma_common  std. dev. of the per-ensemble common-mode phase, rad (>= 0)
+    sigma_pair    std. dev. of the independent per-pair phase, rad (>= 0)
+    """
+
+    alpha: float = 0.0
+    beta_by_species: Mapping[str, float] = field(default_factory=dict)
+    sigma_common: float = 0.0
+    sigma_pair: float = 0.0
+
+    def __post_init__(self):
+        _store_fields(self)
+        for name in ("sigma_common", "sigma_pair"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        for sp, beta in self.beta_by_species.items():
+            if not math.isfinite(beta):
+                raise ValueError(f"beta_by_species.{sp} must be finite")
+
+
+@dataclass(frozen=True)
 class Epochs:
     """A's announced start reading and B's measurement reading(s), s."""
 
@@ -54,15 +129,13 @@ class Epochs:
     b_measure: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "b_measure", tuple(self.b_measure))
-        if not math.isfinite(self.a_start):
-            raise ConfigError("epochs.a_start must be finite")
+        _store_fields(self)
         if len(self.b_measure) == 0:
-            raise ConfigError("epochs.b_measure must list at least one epoch")
+            raise ConfigError("b_measure must list at least one epoch")
         if any(not math.isfinite(t) for t in self.b_measure):
-            raise ConfigError("epochs.b_measure entries must be finite")
+            raise ConfigError("b_measure entries must be finite")
         if any(b <= a for a, b in zip(self.b_measure, self.b_measure[1:])):
-            raise ConfigError("epochs.b_measure must be strictly increasing")
+            raise ConfigError("b_measure must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -88,7 +161,7 @@ class ScenarioConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "species", MappingProxyType(dict(self.species)))
+        _store_fields(self)
         if len(self.species) == 0:
             raise ConfigError("species must name at least one species")
         for sp, omega in self.species.items():
@@ -138,7 +211,7 @@ class ScenarioConfig:
 
     def with_run(self, seed=None, trials=None) -> "ScenarioConfig":
         """A copy with a run's overrides (None keeps the stored value), checked like the fields."""
-        given = {k: _int(v, k) for k, v in (("seed", seed), ("trials", trials)) if v is not None}
+        given = {k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None}
         return dataclasses.replace(self, **given) if given else self
 
     @functools.cached_property
@@ -154,11 +227,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioConfig":
-        return _read(cls, data, "")
+        return _value(cls, data, "")
 
 
 def _number(value, where) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A real number (not a bool) as a float; finiteness is the caller's check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
 
@@ -172,62 +246,77 @@ def _int(value, where) -> int:
     return int(value)
 
 
-def _bool(value, where) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-_LEAVES = {float: _number, int: _int, bool: _bool}
-
-
 @functools.cache
-def _schema(cls) -> tuple[dict[str, Any], tuple[str, ...]]:
-    """A dataclass's field types, resolved once, and its fields without a default."""
+def _schema(cls) -> tuple[dict[str, Any], tuple[str, ...], frozenset[str]]:
+    """A dataclass's field types, resolved once; its fields without a default; its sections."""
     fields = dataclasses.fields(cls)
     hints = typing.get_type_hints(cls)
     required = tuple(f.name for f in fields
                      if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-    return {f.name: hints[f.name] for f in fields}, required
+    sections = frozenset(f.name for f in fields if dataclasses.is_dataclass(hints[f.name]))
+    return {f.name: hints[f.name] for f in fields}, required, sections
 
 
-def _read(tp, value, path: str):
-    """Build a `tp` from its JSON form; every error names the dotted `path`.
+def _value(tp, value, where: str):
+    """`value` checked and stored as a `tp`; every error names the dotted `where`.
 
-    Missing fields take the dataclass defaults. A model's ValueError comes
-    back as a ConfigError prefixed with the path of its section.
+    Tuple and mapping entries are numbers whose finiteness the model checks.
+    A section is built from its JSON object, with the dataclass defaults for
+    missing fields; the model's ValueError comes back prefixed with `where`.
     """
-    leaf = _LEAVES.get(tp)
-    if leaf is not None:
-        return leaf(value, path)
+    if tp is float:
+        value = _number(value, where)
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite")
+        return value
+    if tp is int:
+        return _int(value, where)
+    if tp is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
     origin = typing.get_origin(tp)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list, got {value!r}")
-        item = typing.get_args(tp)[0]
-        return tuple(_read(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
     if not isinstance(value, Mapping):
-        raise ConfigError(f"{path or 'config root'} must be an object, got {value!r}")
+        raise ConfigError(f"{where or 'config root'} must be an object, got {value!r}")
     if origin is Mapping:
-        item = typing.get_args(tp)[1]
-        return {k: _read(item, v, f"{path}.{k}") for k, v in value.items()}
-    types, required = _schema(tp)
-    prefix = f"{path}." if path else ""
+        return MappingProxyType({k: _number(v, f"{where}.{k}") for k, v in value.items()})
+    types, required, sections = _schema(tp)
+    prefix = f"{where}." if where else ""
     unknown = value.keys() - types
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(f'{prefix}{k}' for k in unknown)}")
     for name in required:
         if name not in value:
             raise ConfigError(f"config must define '{prefix}{name}'")
-    kwargs = {k: _read(types[k], v, prefix + k) for k, v in value.items()}
+    kwargs = {k: _value(types[k], v, prefix + k) if k in sections else v for k, v in value.items()}
     try:
         return tp(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
+def _store(model, name: str, value) -> None:
+    """Check `value` as the field `name` of a model and store it there."""
+    object.__setattr__(model, name, _value(_schema(type(model))[0][name], value, name))
+
+
+def _store_fields(model) -> None:
+    """The field pass each model's `__post_init__` starts with; a section must be its model."""
+    types, _, sections = _schema(type(model))
+    for name, tp in types.items():
+        value = getattr(model, name)
+        if name not in sections:
+            object.__setattr__(model, name, _value(tp, value, name))
+        elif not isinstance(value, tp):
+            raise ConfigError(f"{name} must be of type {tp.__name__}, got {value!r}")
+
+
 def _plain(value):
-    """The JSON form of a config value: the inverse of `_read`."""
+    """The JSON form of a config value: the inverse of `_value`."""
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, tuple):

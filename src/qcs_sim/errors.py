@@ -5,12 +5,12 @@ class QcsSimError(Exception):
     """Base class for simulator-specific errors."""
 
 
-class ConfigError(QcsSimError):
+class ConfigError(QcsSimError, ValueError):
     """A scenario configuration violates a documented invariant.
 
     Raised during config loading/validation and for cross-reference
-    failures (e.g. a species with no oscillator phase entry). Maps to
-    CLI exit code 2.
+    failures (e.g. a species with no oscillator phase entry). A ValueError,
+    as every model's own range check is. Maps to CLI exit code 2.
     """
 
 

@@ -107,11 +107,8 @@ def _require_matched_models(cfg: ScenarioConfig):
         raise ConfigError(f"transport.beta_by_species.{species} must be 0 for compare: "
                           "a clock trip has no species-dependent phase")
     implied_jitter = cfg.transport.sigma_common / omega
-    alpha_gap = abs(cfg.trip.alpha - cfg.transport.alpha)
-    jitter_gap = abs(cfg.trip.jitter - implied_jitter)
-    alpha_tol = MATCHED_MODEL_RTOL * max(abs(cfg.trip.alpha), abs(cfg.transport.alpha))
-    jitter_tol = MATCHED_MODEL_RTOL * max(abs(cfg.trip.jitter), abs(implied_jitter))
-    if alpha_gap > alpha_tol or jitter_gap > jitter_tol:
+    if not (math.isclose(cfg.trip.alpha, cfg.transport.alpha, rel_tol=MATCHED_MODEL_RTOL)
+            and math.isclose(cfg.trip.jitter, implied_jitter, rel_tol=MATCHED_MODEL_RTOL)):
         raise ValueError(
             "compare requires matched models: trip.alpha == transport.alpha "
             "and trip.jitter == transport.sigma_common/omega; got "

@@ -165,7 +165,7 @@ def _kept_lists(cfg, sizes, rng):
     if cfg.noiseless:
         ms = [0.5 * n for n in sizes]
     else:  # A's type II outcomes per sub-ensemble
-        ms = [int(rng.binomial(int(n), 0.5)) for n in sizes]
+        ms = [int(rng.binomial(n, 0.5)) for n in sizes]
     if not cfg.shuffle_type_list:
         # every partner is good; with use_type_i both types make one block of n
         return [[(n, 0)] for n in (sizes if cfg.use_type_i else ms)]

@@ -10,44 +10,13 @@ pair. omega is always the species' angular frequency as a float, rad/s.
 The same model covers entanglement delivered by photons: writing the photon
 phase onto the stored qubit makes an unknown propagation delay d act exactly
 like alpha = d, so no separate channel type exists here. Post-arrival drift
-of the accumulated phase is out of scope.
+of the accumulated phase is out of scope. The model, `TransportModel`, is a
+config section and lives in `config`.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
-
+from .config import TransportModel
 from .quantum import EquatorialState, imprint_phase
-
-
-@dataclass(frozen=True)
-class TransportModel:
-    """Frequency-dependent deterministic phase plus two Gaussian jitter scales.
-
-    alpha         effective transport delay, s; deterministic phase = alpha*omega
-    beta_by_species  extra per-species phase, rad (field-sensitivity offset)
-    sigma_common  std. dev. of the per-ensemble common-mode phase, rad (>= 0)
-    sigma_pair    std. dev. of the independent per-pair phase, rad (>= 0)
-    """
-
-    alpha: float = 0.0
-    beta_by_species: Mapping[str, float] = field(default_factory=dict)
-    sigma_common: float = 0.0
-    sigma_pair: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta_by_species", MappingProxyType(dict(self.beta_by_species)))
-        for name in ("alpha", "sigma_common", "sigma_pair"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("sigma_common", "sigma_pair"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        for sp, beta in self.beta_by_species.items():
-            if not math.isfinite(beta):
-                raise ValueError(f"beta_by_species.{sp} must be finite")
 
 
 def transport_phase(model: TransportModel, species: str, omega: float, rng) -> float:

@@ -282,6 +282,14 @@ def test_load_config_happy_path(tmp_path):
     assert cfg.trip.jitter == 1e-10
 
 
+def built(**overrides):
+    """MINIMAL, built in Python instead of loaded."""
+    sections = dict(clock_a=ClockModel(delta_by_species={"cs": 0.0}),
+                    clock_b=ClockModel(delta_by_species={"cs": 0.0}),
+                    transport=TransportModel(beta_by_species={"cs": 0.0}))
+    return ScenarioConfig(**{"species": {"cs": OMEGA}, **sections, **overrides})
+
+
 @pytest.mark.parametrize("how,field,value", [
     ("load", "use_type_i", "false"),
     ("load", "noiseless", "no"),
@@ -290,13 +298,29 @@ def test_load_config_happy_path(tmp_path):
     ("load", "ensemble_size", "abc"),
     ("sweep", "use_type_i", 0.5),
     ("sweep", "seed", 3.9),
+    ("build", "noiseless", "no"),
+    ("build", "use_type_i", "no"),
+    ("build", "seed", 1.9),
+    ("build", "trials", 2.7),
+    ("build", "ensemble_size", 4000.7),
 ])
 def test_no_silent_coercion_of_int_and_bool_fields(how, field, value):
     with pytest.raises(ConfigError, match=field):
         if how == "load":
             ScenarioConfig.from_dict(dict(MINIMAL, **{field: value}))
+        elif how == "build":
+            built(**{field: value})
         else:
             apply_sweep_value(ScenarioConfig.from_dict(MINIMAL), field, value)
+
+
+def test_a_built_config_stores_floats_and_hashes_like_its_reloaded_json():
+    # int-spelled floats: omega, a clock offset and an epoch
+    cfg = built(species={"cs": 6283185}, clock_b=ClockModel(x0=1, delta_by_species={"cs": 0}),
+                epochs=Epochs(b_measure=[1]))
+    assert type(cfg.species["cs"]) is float
+    assert type(cfg.clock_b.x0) is float and type(cfg.epochs.b_measure[0]) is float
+    assert cfg.sha256 == ScenarioConfig.from_dict(cfg.to_dict()).sha256 == _digest(cfg)
 
 
 def test_integral_floats_and_boolean_sweeps_are_accepted():

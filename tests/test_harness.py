@@ -328,6 +328,21 @@ def test_compare_rejects_a_species_dependent_transport_phase(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("model", ["alpha", "jitter"])
+@pytest.mark.parametrize("off,matched", [(0.5, True), (2.0, False)])
+def test_matched_models_tolerance_edge(model, off, matched):
+    # trip.alpha against transport.alpha, trip.jitter against sigma_common / omega,
+    # each off by `off` times MATCHED_MODEL_RTOL, relative
+    cfg = matched_compare(alpha=5e-9, jitter=1e-9)
+    target = cfg.transport.alpha if model == "alpha" else cfg.transport.sigma_common / OMEGA_CS
+    cfg = apply_sweep_value(cfg, f"trip.{model}", target * (1 + off * harness.MATCHED_MODEL_RTOL))
+    if matched:
+        harness._require_matched_models(cfg)
+    else:
+        with pytest.raises(ValueError, match="matched models"):
+            harness._require_matched_models(cfg)
+
+
 # -- CLI ------------------------------------------------------------------------
 
 
