@@ -65,8 +65,8 @@ class ClockModel:
         for sp, delta in self.delta_by_species.items():
             if not math.isfinite(delta):
                 raise ValueError(f"delta_by_species.{sp}: delta must be finite")
-        _store(self, "delta_by_species",
-               {sp: canonicalize(delta) for sp, delta in self.delta_by_species.items()})
+        object.__setattr__(self, "delta_by_species", MappingProxyType(
+            {sp: canonicalize(delta) for sp, delta in self.delta_by_species.items()}))
         if self.y <= -1.0:
             raise ValueError(f"y must be > -1, got {self.y}")
         if self.sigma_read < 0.0:
@@ -283,6 +283,9 @@ def _value(tp, value, where: str):
     if not isinstance(value, Mapping):
         raise ConfigError(f"{where or 'config root'} must be an object, got {value!r}")
     if origin is Mapping:
+        bad = [k for k in value if not isinstance(k, str)]
+        if bad:
+            raise ConfigError(f"{where} keys must be strings, got {bad!r}")
         return MappingProxyType({k: _number(v, f"{where}.{k}") for k, v in value.items()})
     types, required, sections = _schema(tp)
     prefix = f"{where}." if where else ""
@@ -297,11 +300,6 @@ def _value(tp, value, where: str):
         return tp(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
-
-
-def _store(model, name: str, value) -> None:
-    """Check `value` as the field `name` of a model and store it there."""
-    object.__setattr__(model, name, _value(_schema(type(model))[0][name], value, name))
 
 
 def _store_fields(model) -> None:

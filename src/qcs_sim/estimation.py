@@ -5,7 +5,8 @@ unresolvable arccos branch. Each protocol measurement therefore consumes two
 sub-ensembles read out in quadrature bases (delta and delta + pi/2); atan2 of
 the two rescaled count fractions gives an unambiguous angle, and binomial
 delta-method propagation gives its standard error. `estimate_phase` takes
-raw counts and float basis phases, (n0, k0, delta0, n1, k1, delta1).
+raw counts and the first basis phase, (n0, k0, n1, k1, delta0); the second
+basis is delta0 + pi/2 by definition, so it is never passed.
 """
 from __future__ import annotations
 
@@ -15,9 +16,6 @@ from typing import NamedTuple
 
 from .errors import AmbiguityError, DegenerateCountsError, InsufficientSamplesError
 from .quantum import TWO_PI, BasisPhase, canonicalize
-
-#: Tolerance on the quadrature condition delta1 = delta0 + pi/2 (mod 2*pi).
-QUADRATURE_TOL = 1e-9
 
 #: Minimum pairs per quadrature sub-ensemble.
 MIN_SAMPLES = 100
@@ -63,15 +61,15 @@ def _smoothed_var(k, n):
     return 4.0 * p * (1.0 - p) / n
 
 
-def estimate_phase(n0, k0, delta0: float, n1, k1, delta1: float) -> PhaseEstimate:
+def estimate_phase(n0, k0, n1, k1, delta0: float) -> PhaseEstimate:
     """Recover the state phase from the counts of two quadrature readouts.
 
-    k0 of n0 pairs read pos at basis phase delta0, k1 of n1 at delta1 =
-    delta0 + pi/2 (mod 2*pi, within QUADRATURE_TOL); float (expected) counts
-    are accepted. With c = 2*k0/n0 - 1 and s = 2*k1/n1 - 1 the estimate is
-    canonicalize(delta0 + atan2(s, c)); it is consistent, with bias -> 0 as
-    n grows. The angle only means something when both readouts are of the
-    same species at the same epoch; pairing them is the caller's job.
+    k0 of n0 pairs read pos at basis phase delta0, k1 of n1 at delta0 + pi/2;
+    float (expected) counts are accepted. With c = 2*k0/n0 - 1 and
+    s = 2*k1/n1 - 1 the estimate is canonicalize(delta0 + atan2(s, c)); it
+    is consistent, with bias -> 0 as n grows. The angle only means something
+    when both readouts are of the same species at the same epoch; pairing
+    them is the caller's job.
     """
     if not (math.isfinite(n0) and n0 >= 1):
         raise ValueError(f"n must be >= 1, got {n0}")
@@ -81,11 +79,8 @@ def estimate_phase(n0, k0, delta0: float, n1, k1, delta1: float) -> PhaseEstimat
         raise ValueError(f"n must be >= 1, got {n1}")
     if not (0 <= k1 <= n1):
         raise ValueError(f"k_pos must be in [0, n], got {k1} of {n1}")
-    gap = wrap_pi(delta1 - delta0 - 0.5 * math.pi)
-    if not abs(gap) <= QUADRATURE_TOL:
-        raise ValueError(
-            f"bases are not in quadrature: delta1 - delta0 = pi/2 {gap:+.3e} rad"
-        )
+    if not math.isfinite(delta0):
+        raise ValueError(f"delta0 must be finite, got {delta0}")
     if n0 < MIN_SAMPLES or n1 < MIN_SAMPLES:
         raise InsufficientSamplesError(
             f"need >= {MIN_SAMPLES} pairs per quadrature, got {n0} and {n1}"

@@ -47,12 +47,12 @@ _UNITS_COMMENT = (
 )
 
 
-def _write_csv(path, header, lines):
-    """The units comment, the header, then the lines, in blocks: no whole-file copy."""
+def _write_csv(path, header, rows, line):
+    """The units comment, the header, then `line(row)` per row, formatted 1000 rows at a time."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{_UNITS_COMMENT}\n{','.join(header)}\n")
-        for i in range(0, len(lines), 1000):
-            f.write("\n".join(lines[i:i + 1000]) + "\n")
+        for i in range(0, len(rows), 1000):
+            f.write("\n".join(map(line, rows[i:i + 1000])) + "\n")
 
 
 @functools.cache
@@ -68,7 +68,7 @@ def _csv_format(layouts: frozenset) -> tuple[tuple, dict]:
 def write_results_csv(path, results):
     """One row per trial, in trial_id order, through one row template per layout."""
     header, templates = _csv_format(frozenset(r.layout for r in results))
-    _write_csv(path, header, [templates[r.layout] % (r.trial_id, *r.values) for r in results])
+    _write_csv(path, header, results, lambda r: templates[r.layout] % (r.trial_id, *r.values))
 
 
 def _array(results, columns) -> np.ndarray:
@@ -260,9 +260,9 @@ def run_experiment(
         summary = {"protocol": protocol, "param": sweep_param, "points": rows}
         table, trial_counts = "sweep", {protocol: run_cfg.trials}
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep.csv", list(rows[0]), [",".join(
+        _write_csv(out / "sweep.csv", list(rows[0]), rows, lambda row: ",".join(
             "" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
-            for v in row.values()) for row in rows])
+            for v in row.values()))
     else:
         sweep_args = {"protocol": protocol, "sweep_param": sweep_param,
                       "sweep_values": sweep_values}

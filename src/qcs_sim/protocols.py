@@ -201,10 +201,10 @@ def _count_pos(good, bad, p, rng):
     return k + int(rng.binomial(bad, 1.0 - p)) if bad else k
 
 
-def _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng):
-    """Counts (n0, k0, n1, k1) of B's kept list read out at delta0 (first half) and delta1."""
+def _measure_quadratures(cfg, theta, blocks, delta0, rng):
+    """Counts (n0, k0, n1, k1) of B's kept list read at delta0 (first half) and delta0 + pi/2."""
     p0 = prob_pos(theta, delta0)
-    p1 = prob_pos(theta, delta1)
+    p1 = prob_pos(theta, canonicalize(delta0 + 0.5 * math.pi))
     n_kept = n_bad = 0
     for good, bad in blocks:
         n_kept += good + bad
@@ -239,9 +239,8 @@ def _read_out(cfg, species, omega, blocks, phi_common, tau, rng):
     """
     theta = evolve(imprint_phase(basis_for(cfg.clock_a, species), phi_common), omega, tau)
     delta0 = basis_for(cfg.clock_b, species)
-    delta1 = canonicalize(delta0 + 0.5 * math.pi)
-    n0, k0, n1, k1 = counts = _measure_quadratures(cfg, theta, blocks, delta0, delta1, rng)
-    return estimate_phase(n0, k0, delta0, n1, k1, delta1), counts
+    counts = _measure_quadratures(cfg, theta, blocks, delta0, rng)
+    return estimate_phase(*counts, delta0), counts
 
 
 def _trigger_interval(cfg, rng):

@@ -323,6 +323,14 @@ def test_a_built_config_stores_floats_and_hashes_like_its_reloaded_json():
     assert cfg.sha256 == ScenarioConfig.from_dict(cfg.to_dict()).sha256 == _digest(cfg)
 
 
+def test_mapping_keys_of_a_built_config_must_be_strings():
+    # a JSON file cannot produce these keys; a config built in Python can
+    with pytest.raises(ConfigError, match=r"species keys must be strings, got \[1\]"):
+        built(species={1: 2.0e6})
+    with pytest.raises(ConfigError, match=r"delta_by_species keys must be strings, got \[2\]"):
+        ClockModel(delta_by_species={2: 0.5})
+
+
 def test_integral_floats_and_boolean_sweeps_are_accepted():
     cfg = ScenarioConfig.from_dict(full_doc(ensemble_size=1e6, seed=7.0))
     assert cfg.ensemble_size == 1_000_000 and type(cfg.ensemble_size) is int

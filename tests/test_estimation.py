@@ -26,7 +26,7 @@ HALF_PI = math.pi / 2
 def quadrature_records(theta, delta0, n0, n1, rng=None):
     """Counts for one state read out at delta0 and delta0 + pi/2.
 
-    Returns estimate_phase's arguments (n0, k0, delta0, n1, k1, delta1). With
+    Returns estimate_phase's arguments (n0, k0, n1, k1, delta0). With
     rng=None the counts are the exact expectations (idealized counts).
     """
     s = canonicalize(theta)
@@ -36,7 +36,7 @@ def quadrature_records(theta, delta0, n0, n1, rng=None):
         k0, k1 = n0 * p0, n1 * p1
     else:
         k0, k1 = int(rng.binomial(n0, p0)), int(rng.binomial(n1, p1))
-    return n0, k0, b0, n1, k1, b1
+    return n0, k0, n1, k1, b0
 
 
 # -- wrap helper -----------------------------------------------------------------
@@ -64,9 +64,9 @@ def test_record_validation():
                                 ((math.inf, 0), "n must be >= 1"),
                                 ((10, math.nan), "k_pos must be in")):
         with pytest.raises(ValueError, match=message):
-            estimate_phase(n, k_pos, 0.0, *good, HALF_PI)
+            estimate_phase(n, k_pos, *good, 0.0)
         with pytest.raises(ValueError, match=message):
-            estimate_phase(*good, 0.0, n, k_pos, HALF_PI)
+            estimate_phase(*good, n, k_pos, 0.0)
 
 
 # -- phase estimation ----------------------------------------------------------------
@@ -75,7 +75,7 @@ def test_record_validation():
 def test_noiseless_plugin_is_exact_at_quarter_turn():
     # theta = pi/2, delta = 0: exact counts are k0/n0 = cos^2(pi/4) = 1/2 and
     # k1/n1 = 1, so c = 0, s = 1 and atan2 hits the axis exactly
-    est = estimate_phase(1000, 500, 0.0, 1000, 1000, HALF_PI)
+    est = estimate_phase(1000, 500, 1000, 1000, 0.0)
     assert est.theta_hat == HALF_PI
     assert est.sigma_theta > 0.0
     assert est.n_used == 2000
@@ -127,18 +127,11 @@ def test_sigma_positive_even_at_count_extremes():
     assert estimate_phase(*counts).sigma_theta > 0.0
 
 
-def test_bases_must_be_in_quadrature():
-    with pytest.raises(ValueError, match="quadrature"):
-        estimate_phase(1000, 500, 0.0, 1000, 500, HALF_PI + 1e-6)
-    # tolerance admits 1e-10 of slack
-    estimate_phase(1000, 500, 0.0, 1000, 400, HALF_PI + 1e-10)
-
-
 def test_non_finite_basis_phase_is_not_in_quadrature():
-    # float basis phases arrive unchecked, so a NaN must not pass the gap test
-    for delta0, delta1 in ((math.nan, HALF_PI), (0.0, math.nan), (0.0, math.inf)):
-        with pytest.raises(ValueError, match="quadrature"):
-            estimate_phase(1000, 500, delta0, 1000, 400, delta1)
+    # float basis phases arrive unchecked, so a NaN or inf must not reach atan2
+    for delta0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="delta0 must be finite"):
+            estimate_phase(1000, 500, 1000, 400, delta0)
 
 
 def test_insufficient_samples():
@@ -149,7 +142,7 @@ def test_insufficient_samples():
 
 def test_degenerate_counts_raise():
     with pytest.raises(DegenerateCountsError):
-        estimate_phase(1_000_000, 500_000, 0.0, 1_000_000, 500_000, HALF_PI)
+        estimate_phase(1_000_000, 500_000, 1_000_000, 500_000, 0.0)
 
 
 # -- rate estimation -------------------------------------------------------------------

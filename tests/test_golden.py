@@ -19,7 +19,7 @@ import pytest
 
 from qcs_sim import run_experiment
 
-from scenarios import OMEGA_CS, OMEGA_RB, matched_compare, one_species, syntonize, two_species
+from scenarios import matched_compare, one_species, syntonize, two_species
 
 RUN_FILES = ("results.csv", "summary.json", "manifest.json")
 SWEEP_FILES = ("sweep.csv", "summary.json", "manifest.json")

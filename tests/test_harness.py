@@ -77,6 +77,16 @@ def test_results_csv_fills_each_cell_from_its_own_layout(tmp_path):
         assert cells == {name: filled.get(name, "") for name in cells}
 
 
+def test_results_csv_written_in_blocks_equals_the_whole_list_join(tmp_path):
+    # 2500 rows: two full 1000-row blocks and a partial one
+    results = run_trials(Protocol.QCS_BASIC, one_species(ensemble_size=1000).with_run(3, 2500))
+    write_results_csv(tmp_path / "results.csv", results)
+    header, templates = harness._csv_format(frozenset(r.layout for r in results))
+    lines = [templates[r.layout] % (r.trial_id, *r.values) for r in results]
+    want = f"{harness._UNITS_COMMENT}\n{','.join(header)}\n" + "\n".join(lines) + "\n"
+    assert (tmp_path / "results.csv").read_bytes() == want.encode("utf-8")
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg = one_species(ensemble_size=5000, trials=8)
     run_experiment("qcs", cfg, tmp_path / "a", seed=5)

@@ -127,8 +127,7 @@ ORACLE_CASES = {
 
 def _production_counts(cfg, sizes, rng):
     """(n0, k0, n1, k1) per sub-ensemble from the simulator's count sampler."""
-    delta1 = canonicalize(0.0 + 0.5 * math.pi)
-    return [protocols._measure_quadratures(cfg, ORACLE_PHASES[0], blocks, 0.0, delta1, rng)
+    return [protocols._measure_quadratures(cfg, ORACLE_PHASES[0], blocks, 0.0, rng)
             for blocks in protocols._kept_lists(cfg, sizes, rng)]
 
 

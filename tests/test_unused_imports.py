@@ -1,4 +1,4 @@
-"""Every module-level import in `src/qcs_sim` is used by its module.
+"""Every module-level import in `src/qcs_sim` and in `tests/` is used by its module.
 
 A stdlib stand-in for a linter's unused-import rule (F401). An import kept on
 purpose, such as a name only the benchmark tracer looks up in a module, says
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qcs_sim"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qcs_sim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +33,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
