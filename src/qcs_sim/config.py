@@ -182,6 +182,9 @@ class ScenarioConfig:
                 f"ensemble_size must be < {MAX_SHUFFLED_ENSEMBLE} with "
                 f"shuffle_type_list, got {self.ensemble_size}"
             )
+        if not self.noiseless and self.ensemble_size >= 2**63:  # numpy's Binomial takes a C long
+            raise ConfigError(
+                f"ensemble_size must be < 2**63 unless noiseless, got {self.ensemble_size}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -231,10 +234,13 @@ class ScenarioConfig:
 
 
 def _number(value, where) -> float:
-    """A real number (not a bool) as a float; finiteness is the caller's check."""
+    """A real number (not a bool) as a float, +-inf beyond range; the caller checks finiteness."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range reads as JSON's 1e999 does
+        return math.inf if value > 0 else -math.inf
 
 
 def _int(value, where) -> int:

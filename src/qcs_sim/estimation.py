@@ -6,7 +6,8 @@ sub-ensembles read out in quadrature bases (delta and delta + pi/2); atan2 of
 the two rescaled count fractions gives an unambiguous angle, and binomial
 delta-method propagation gives its standard error. `estimate_phase` takes
 raw counts and the first basis phase, (n0, k0, n1, k1, delta0); the second
-basis is delta0 + pi/2 by definition, so it is never passed.
+basis is delta0 + pi/2 by definition, so it is never passed. The
+`PhaseEstimate` it returns is the whole readout: the angle and those counts.
 """
 from __future__ import annotations
 
@@ -40,11 +41,15 @@ class MeasurementRecord:
 
 
 class PhaseEstimate(NamedTuple):
-    """A recovered phase angle with its delta-method standard error."""
+    """A recovered phase angle, its delta-method standard error, and the counts read."""
 
     theta_hat: float
     sigma_theta: float
-    n_used: float
+    n0: float  # k0 of n0 pairs read pos at delta0, k1 of n1 at delta0 + pi/2:
+    k0: float  # ints when drawn, floats when expected (noiseless)
+    n1: float
+    k1: float
+    n_used = property(lambda e: e.n0 + e.n1)
 
 
 class RateEstimate(NamedTuple):
@@ -98,7 +103,7 @@ def estimate_phase(n0, k0, n1, k1, delta0: float) -> PhaseEstimate:
     var_c = _smoothed_var(k0, n0)
     var_s = _smoothed_var(k1, n1)
     sigma = math.sqrt(s * s * var_c + c * c * var_s) / r2
-    return PhaseEstimate(theta_hat, sigma, n0 + n1)
+    return PhaseEstimate(theta_hat, sigma, n0, k0, n1, k1)
 
 
 def estimate_rate(

@@ -77,10 +77,10 @@ def _array(results, columns) -> np.ndarray:
     return np.array([[r.values[i] for r in results] for i in map(layout.columns.index, columns)])
 
 
-def _stats(x: np.ndarray, mean=None) -> list[dict]:
-    """Mean, spread, RMS, range and 95% CI half-width of each row of x (`mean`: its row means)."""
+def _stats(x: np.ndarray) -> list[dict]:
+    """Mean, spread, RMS, range and 95% CI half-width of each row of x."""
     n = x.shape[1]
-    mean = x.mean(axis=1) if mean is None else mean
+    mean = x.mean(axis=1)
     std = np.sqrt(((x - mean[:, None]) ** 2).sum(axis=1) / (n - 1)) if n > 1 else np.zeros(len(x))
     stats = {"mean": mean, "std": std, "rms": np.sqrt((x**2).mean(axis=1)), "min": x.min(axis=1),
              "max": x.max(axis=1), "ci95_halfwidth": 1.959963984540054 * std / math.sqrt(n)}
@@ -92,9 +92,8 @@ def summarize_trials(results) -> dict:
     columns = [c for c in results[0].layout.columns if c[0] in ("error", "diagnostics")]
     e = sum(g == "error" for g, _ in columns)  # error columns come first
     keys, x = [k for _, k in columns], _array(results, columns)
-    mean = x.mean(axis=1)
-    return {"trials": len(results), "metrics": dict(zip(keys, _stats(x[:e], mean[:e]))),
-            "mean_diagnostics": dict(zip(keys[e:], mean[e:].tolist()))}
+    return {"trials": len(results), "metrics": dict(zip(keys, _stats(x[:e]))),
+            "mean_diagnostics": dict(zip(keys[e:], x[e:].mean(axis=1).tolist()))}
 
 
 #: Relative tolerance for the matched-models precondition of compare runs.
@@ -185,13 +184,10 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
         doc["trip"]["jitter"] = value
         doc["transport"]["sigma_common"] = value * omega
     else:
+        *path, leaf = param.split(".")
         node = doc
-        parts = param.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown sweep parameter {param!r}")
-            node = node[part]
-        leaf = parts[-1]
+        for part in path:
+            node = node.get(part) if isinstance(node, dict) else None
         if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"unknown sweep parameter {param!r}")
         if isinstance(node[leaf], bool):

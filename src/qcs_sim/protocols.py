@@ -27,11 +27,11 @@ bad pairs (partners a shuffled list mislabels) sit half a turn away, and
 each block is in uniformly random order. Basis 0 reads the first half
 of the list, so its good count is hypergeometric block by block, and each
 basis then yields a Binomial count per kind. An honest list has no bad
-pairs, so each basis is one Binomial draw; the block walk runs only for
-lists with bad pairs. Independent per-pair transport
-jitter enters as the contrast factor exp(-sigma_pair**2 / 2). The per-pair
-simulation this law replaces is kept in tests/pairwise_oracle.py as the
-reference the sampler is tested against.
+pairs, so its split needs no draw and each basis is one Binomial draw;
+the block walk runs only for lists with bad pairs. Independent per-pair
+transport jitter enters as the contrast factor exp(-sigma_pair**2 / 2). The
+per-pair simulation this law replaces is kept in tests/pairwise_oracle.py as
+the reference the sampler is tested against.
 """
 from __future__ import annotations
 
@@ -211,36 +211,27 @@ def _measure_quadratures(cfg, theta, blocks, delta0, rng):
         n_bad += bad
     if cfg.noiseless:
         n0 = n1 = 0.5 * n_kept
-        k0 = n0 * p0
-        k1 = n1 * p1
-    else:
-        sigma = cfg.transport.sigma_pair
-        # skipped at 0, where 0.5 + (p - 0.5) can differ from p in the last bit
-        if sigma > 0.0:
-            contrast = math.exp(-0.5 * sigma * sigma)
-            p0 = 0.5 + contrast * (p0 - 0.5)
-            p1 = 0.5 + contrast * (p1 - 0.5)
-        n0 = n_kept // 2
-        n1 = n_kept - n0
-        if n_bad:
-            g0, g1 = _split_good(blocks, n0, rng)
-            k0 = _count_pos(g0, n0 - g0, p0, rng)
-            k1 = _count_pos(g1, n1 - g1, p1, rng)
-        else:  # no bad pairs: one Binomial per basis
-            k0 = int(rng.binomial(n0, p0))
-            k1 = int(rng.binomial(n1, p1))
-    return n0, k0, n1, k1
+        return n0, n0 * p0, n1, n1 * p1
+    sigma = cfg.transport.sigma_pair
+    # skipped at 0, where 0.5 + (p - 0.5) can differ from p in the last bit
+    if sigma > 0.0:
+        contrast = math.exp(-0.5 * sigma * sigma)
+        p0 = 0.5 + contrast * (p0 - 0.5)
+        p1 = 0.5 + contrast * (p1 - 0.5)
+    n0 = n_kept // 2
+    n1 = n_kept - n0
+    g0, g1 = _split_good(blocks, n0, rng) if n_bad else (n0, n1)
+    return n0, _count_pos(g0, n0 - g0, p0, rng), n1, _count_pos(g1, n1 - g1, p1, rng)
 
 
 def _read_out(cfg, species, omega, blocks, phi_common, tau, rng):
     """Collapse, transport by phi_common, precession for tau, and readout of B's `blocks`.
 
-    Returns (PhaseEstimate, (n0, k0, n1, k1)).
+    Returns the PhaseEstimate, which carries the counts it was read from.
     """
     theta = evolve(imprint_phase(basis_for(cfg.clock_a, species), phi_common), omega, tau)
     delta0 = basis_for(cfg.clock_b, species)
-    counts = _measure_quadratures(cfg, theta, blocks, delta0, rng)
-    return estimate_phase(*counts, delta0), counts
+    return estimate_phase(*_measure_quadratures(cfg, theta, blocks, delta0, rng), delta0)
 
 
 def _trigger_interval(cfg, rng):
@@ -259,15 +250,14 @@ def _phase_residual(cfg, species, omega, tau, nominal, rng):
     """One species' cycle and its phase residual against B's model of the pre-clock.
 
     B's model is his own basis phase advanced by the nominal elapsed time.
-    Returns (residual in (-pi, pi], PhaseEstimate, phi_common, readout), where
-    readout is (theta_hat, sigma_theta, n0, k0, n1, k1), as the runners list them.
+    Returns (residual in (-pi, pi], phi_common, PhaseEstimate); the runners
+    list the estimate's six fields as its readout columns.
     """
     (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
     phi_common = transport_phase(cfg.transport, species, omega, rng)
-    est, (n0, k0, n1, k1) = _read_out(cfg, species, omega, blocks, phi_common, tau, rng)
+    est = _read_out(cfg, species, omega, blocks, phi_common, tau, rng)
     theta_exp = canonicalize(basis_for(cfg.clock_b, species) - omega * nominal)
-    readout = (est.theta_hat, est.sigma_theta, float(n0), float(k0), float(n1), float(k1))
-    return wrap_pi(theta_exp - est.theta_hat), est, phi_common, readout
+    return wrap_pi(theta_exp - est.theta_hat), phi_common, est
 
 
 # -- protocols --------------------------------------------------------------
@@ -284,11 +274,11 @@ def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """Single-species time-offset recovery (protocol steps 1-4)."""
     ((species, omega),) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
-    residual, est, phi_common, readout = _phase_residual(cfg, species, omega, tau, nominal, rng)
+    residual, phi_common, est = _phase_residual(cfg, species, omega, tau, nominal, rng)
     t_true, t_hat = tau - nominal, residual / omega
     return _layout(Protocol.QCS_BASIC, species).row(trial_id, (
         t_true, cfg.clock_b.y, phi_common, t_hat, t_hat - t_true,
-        *readout, float(est.n_used), est.sigma_theta / omega))
+        *est, est.n_used, est.sigma_theta / omega))
 
 
 def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
@@ -303,13 +293,13 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     """
     (sp1, omega1), (sp2, omega2) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
-    r1, e1, phi1, out1 = _phase_residual(cfg, sp1, omega1, tau, nominal, rng)
-    r2, e2, phi2, out2 = _phase_residual(cfg, sp2, omega2, tau, nominal, rng)
+    r1, phi1, e1 = _phase_residual(cfg, sp1, omega1, tau, nominal, rng)
+    r2, phi2, e2 = _phase_residual(cfg, sp2, omega2, tau, nominal, rng)
     beat_omega = omega1 - omega2
     t_true, t_beat = tau - nominal, wrap_pi(r1 - r2) / beat_omega
     return _layout(Protocol.QCS_BEAT, sp1, sp2).row(trial_id, (
         t_true, cfg.clock_b.y, phi1, phi2, t_beat, t_beat - t_true,
-        *out1, r1 / omega1, *out2, r2 / omega2,
+        *e1, r1 / omega1, *e2, r2 / omega2,
         math.hypot(e1.sigma_theta, e2.sigma_theta) / abs(beat_omega)))
 
 
@@ -338,7 +328,7 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
     for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
         tau = trigger_time(cfg.clock_b, epoch, rng) - t_collapse
         blocks = kept[h] if kept else _kept_lists(cfg, (n_pairs,), rng)[0]
-        estimates.append(_read_out(cfg, species, omega, blocks, phi_common, tau, rng)[0])
+        estimates.append(_read_out(cfg, species, omega, blocks, phi_common, tau, rng))
     e1, e2 = estimates
     rate = estimate_rate(e1, t1, e2, t2, omega)
     return _layout(Protocol.QCS_SYNTONIZE, species).row(trial_id, (

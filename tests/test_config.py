@@ -102,6 +102,15 @@ def test_missing_species_is_named():
     ("trip.duration", 0.0, "trip.duration must be > 0"),
     ("epochs.a_start", math.nan, "epochs.a_start must be finite"),
     ("species.cs", -1.0, "species.cs: omega must be finite and > 0"),
+    # an int literal beyond float range reads as inf, as JSON's 1e999 does
+    pytest.param("clock_b.x0", 10**400, "clock_b.x0 must be finite", id="x0-1e400"),
+    pytest.param("trip.alpha", -10**400, "trip.alpha must be finite", id="alpha--1e400"),
+    pytest.param("species.cs", 10**400, "species.cs: omega must be finite and > 0, got inf",
+                 id="omega-1e400"),
+    pytest.param("clock_b.delta_by_species.cs", -10**400,
+                 "clock_b.delta_by_species.cs: delta must be finite", id="delta--1e400"),
+    pytest.param("epochs.b_measure", [0.25, 10**400], "epochs.b_measure entries must be finite",
+                 id="b_measure-1e400"),
 ])
 def test_model_errors_name_the_dotted_path(path, value, message):
     doc = full_doc()
@@ -152,6 +161,18 @@ def test_shuffled_ensemble_stays_below_hypergeometric_limit():
         ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=10**9, shuffle_type_list=True))
     ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=10**9 - 1, shuffle_type_list=True))
     ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=10**12))
+
+
+def test_drawn_ensemble_stays_below_binomial_limit():
+    # numpy's Binomial takes a C long; a noiseless run draws no counts
+    with pytest.raises(ConfigError, match=r"^ensemble_size must be < 2\*\*63 unless noiseless"):
+        ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=2**63))
+    for protocol, extra in ((Protocol.QCS_BASIC, {}), (Protocol.QCS_BASIC, {"use_type_i": True}),
+                            (Protocol.QCS_SYNTONIZE, {"epochs": {"b_measure": [1.0, 2.0]}})):
+        cfg = ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=2**63 - 1, trials=2, **extra))
+        assert len(run_trials(protocol, cfg)) == 2
+    cfg = ScenarioConfig.from_dict(dict(MINIMAL, ensemble_size=10**20, trials=2, noiseless=True))
+    assert len(run_trials(Protocol.QCS_BASIC, cfg)) == 2
 
 
 def test_trials_floor():

@@ -81,6 +81,17 @@ def test_noiseless_plugin_is_exact_at_quarter_turn():
     assert est.n_used == 2000
 
 
+@pytest.mark.parametrize("counts", [(1000, 700, 1001, 1001), (500.5, 375.25, 500.5, 0.0)],
+                         ids=["drawn", "expected"])
+def test_estimate_carries_the_counts_it_read(counts):
+    # the record is the whole readout: its counts come back as given, type
+    # and all, and n_used is the pairs of both quadratures
+    est = estimate_phase(*counts, 0.3)
+    assert (est.n0, est.k0, est.n1, est.k1) == est[2:] == counts
+    assert [type(v) for v in est[2:]] == [type(v) for v in counts]
+    assert est.n_used == counts[0] + counts[2] and type(est.n_used) is type(counts[0])
+
+
 def test_quadrature_completeness_on_idealized_records():
     rng = np.random.default_rng(31)
     for _ in range(1000):
@@ -193,7 +204,7 @@ def _interleave(ests, t1, t2):
 
 
 def test_rate_epoch_ordering():
-    e = PhaseEstimate(0.0, 1e-3, 1000)
+    e = PhaseEstimate(0.0, 1e-3, 500, 250, 500, 250)
     with pytest.raises(ValueError):
         estimate_rate(e, 2.0, e, 1.0, 1.0)
 

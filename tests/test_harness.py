@@ -264,12 +264,14 @@ def test_compare_sweep_over_matched_jitter(tmp_path):
     assert {"rms_qcs", "rms_esct", "ratio"} <= set(header)
 
 
-def test_unknown_sweep_parameter(tmp_path):
+@pytest.mark.parametrize("param", ("transport.nope", "nope.alpha", "trip.alpha.x",
+                                   "clock_b.delta_by_species.xx", "trip..alpha"))
+def test_unknown_sweep_parameter(tmp_path, param):
     cfg = one_species(ensemble_size=5000)
-    with pytest.raises(ConfigError, match="sweep parameter"):
+    with pytest.raises(ConfigError, match=f"^unknown sweep parameter {re.escape(repr(param))}$"):
         run_experiment(
             "sweep", cfg, tmp_path / "x", protocol="qcs",
-            sweep_param="transport.nope", sweep_values=[1.0],
+            sweep_param=param, sweep_values=[1.0],
         )
 
 
@@ -396,6 +398,15 @@ def test_cli_exit_code_2_on_a_clock_rate_at_or_below_minus_one(tmp_path, capsys,
                  f"0,{y}"]) == 2
     assert "clock_b.y must be > -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_exit_code_2_on_an_int_literal_beyond_float_range(tmp_path, capsys):
+    doc = one_species(ensemble_size=5000, trials=2).to_dict()
+    doc["clock_b"]["x0"] = 10**400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "clock_b.x0 must be finite" in capsys.readouterr().err
 
 
 def test_cli_rejects_an_integer_sweep_value_no_float_holds(tmp_path, capsys):
