@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-import typing
 from decimal import Decimal
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, _schema, load_config
 from .errors import ConfigError
 from .harness import SUBCOMMANDS, SWEEP_PROTOCOLS, run_experiment
 
@@ -36,7 +35,7 @@ def _parse_values(text: str, param: str | None = None) -> list[float]:
         values = [float(tok) for tok in tokens]
     except ValueError:
         raise ConfigError(f"--sweep-values must be comma-separated numbers, got {text!r}")
-    int_field = typing.get_type_hints(ScenarioConfig).get(param) is int
+    int_field = _schema(ScenarioConfig)[0].get(param) is int
     for tok, value in zip(tokens, values):
         try:
             exact = int(tok)

@@ -238,9 +238,12 @@ def _number(value, where) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an int beyond float range reads as JSON's 1e999 does
         return math.inf if value > 0 else -math.inf
+    if isinstance(value, numbers.Integral) and number != int(value):
+        raise ConfigError(f"{where} is an integer that no float holds exactly, got {value!r}")
+    return number
 
 
 def _int(value, where) -> int:
@@ -330,11 +333,20 @@ def _plain(value):
     return {name: _plain(getattr(value, name)) for name in _schema(type(value))[0]}
 
 
+def _object(pairs) -> dict:
+    """One JSON object's members; a key given twice is a ConfigError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ConfigError(f"config key {next(k for k in obj if keys.count(k) > 1)!r} is repeated")
+    return obj
+
+
 def load_config(path) -> ScenarioConfig:
     """Load and fully validate a scenario file; raises ConfigError on any defect."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -13,8 +13,9 @@ Outputs per run directory:
 Sweeps vary one named parameter over a grid and emit sweep.csv instead of
 results.csv: one plot-ready row per grid point.
 
-A run's trials are one table of value rows (`protocols.Layout`): a summary reads
-the columns it needs as one array, and results.csv rows use cached templates.
+`_run` hands on one table of value rows (`protocols.Layout`) per protocol it runs:
+a summary reads its columns as one array, results.csv writes each table through
+its layout's cached template, and the manifest counts each table's trials.
 
 Files are written only after every trial of a run has succeeded: a run that
 fails, say on a config its protocol rejects, creates no output directory.
@@ -31,10 +32,13 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError
-from .protocols import LANE_BASELINE, Layout, Protocol, require_count, run_trials
+from .protocols import Layout, Protocol, require_count, run_trials
 from .rng import RNG_ALGORITHM
 
 ARTIFACT_VERSION = "0.2.0"
+
+#: Stream lane of compare's esct trials; its qcs trials run on lane 0.
+LANE_BASELINE = 1
 
 #: What `sweep --protocol` accepts: every protocol, plus the compare pairing.
 SWEEP_PROTOCOLS = (*(p.value for p in Protocol), "compare")
@@ -47,16 +51,17 @@ _UNITS_COMMENT = (
 )
 
 
-def _write_csv(path, header, rows, line):
-    """The units comment, the header, then `line(row)` per row, formatted 1000 rows at a time."""
+def _write_csv(path, header, tables, line):
+    """Units comment, header, then `line(i, row)` for row i of each table, 1000 rows at a time."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{_UNITS_COMMENT}\n{','.join(header)}\n")
-        for i in range(0, len(rows), 1000):
-            f.write("\n".join(map(line, rows[i:i + 1000])) + "\n")
+        for rows in tables:
+            for i in range(0, len(rows), 1000):
+                f.write("\n".join(map(line, range(i, i + 1000), rows[i:i + 1000])) + "\n")
 
 
 @functools.cache
-def _csv_format(layouts: frozenset) -> tuple[tuple, dict]:
+def _csv_format(layouts: tuple) -> tuple[tuple, dict]:
     """results.csv's header for trials of these layouts, and each layout's row template."""
     columns = Layout.order({c for layout in layouts for c in layout.columns})
     templates = {layout: ",".join(["%d", layout.protocol.value,
@@ -65,16 +70,16 @@ def _csv_format(layouts: frozenset) -> tuple[tuple, dict]:
     return ("trial_id", "protocol", *[f"{g}_{k}" for g, k in columns]), templates
 
 
-def write_results_csv(path, results):
-    """One row per trial, in trial_id order, through one row template per layout."""
-    header, templates = _csv_format(frozenset(r.layout for r in results))
-    _write_csv(path, header, results, lambda r: templates[r.layout] % (r.trial_id, *r.values))
+def write_results_csv(path, tables):
+    """One row per trial of each `run_trials` table; a row's trial_id is its position there."""
+    header, templates = _csv_format(tuple(t[0].layout for t in tables))
+    _write_csv(path, header, tables, lambda i, r: templates[r.layout] % (i, *r.values))
 
 
-def _array(results, columns) -> np.ndarray:
-    """The (group, key) columns of trials that share one layout, one row per column."""
-    (layout,) = {r.layout for r in results}
-    return np.array([[r.values[i] for r in results] for i in map(layout.columns.index, columns)])
+def _array(table, columns) -> np.ndarray:
+    """The (group, key) columns of one trial table, one row per column."""
+    index = table[0].layout.columns.index
+    return np.array([[r.values[i] for r in table] for i in map(index, columns)])
 
 
 def _stats(x: np.ndarray) -> list[dict]:
@@ -117,13 +122,13 @@ def _require_matched_models(cfg: ScenarioConfig):
 
 
 def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
-    """Run one protocol, or the compare pairing, and return (results, summary).
+    """Run one protocol, or the compare pairing, and return (tables, summary).
 
-    For compare, results holds the qcs lane's trials, then the esct lane's.
+    `tables` holds one trial table, or compare's qcs then esct (LANE_BASELINE) tables.
     """
     if name != "compare":
         results = run_trials(Protocol(name), cfg)
-        return results, summarize_trials(results)
+        return [results], summarize_trials(results)
     require_count("compare", "configured species", len(cfg.species), 1)
     _require_matched_models(cfg)
     qcs = run_trials(Protocol.QCS_BASIC, cfg)
@@ -132,7 +137,7 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
                                             ("diagnostics", "sigma_time")]))
     (stats_esct,) = _stats(_array(esct, [("error", "time_offset")]))
     rms_esct = stats_esct["rms"]
-    return qcs + esct, {
+    return [qcs, esct], {
         "trials": len(qcs),
         "rms_qcs": stats_qcs["rms"],
         "rms_esct": rms_esct,
@@ -256,7 +261,7 @@ def run_experiment(
         summary = {"protocol": protocol, "param": sweep_param, "points": rows}
         table, trial_counts = "sweep", {protocol: run_cfg.trials}
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep.csv", list(rows[0]), rows, lambda row: ",".join(
+        _write_csv(out / "sweep.csv", list(rows[0]), [rows], lambda _, row: ",".join(
             "" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
             for v in row.values()))
     else:
@@ -265,13 +270,12 @@ def run_experiment(
         for name, value in sweep_args.items():
             if value is not None:
                 raise ConfigError(f"{name} is a sweep argument; {subcommand!r} takes no {name}")
-        results, summary = _run(subcommand, run_cfg)
+        tables, summary = _run(subcommand, run_cfg)
         summary = {"subcommand": subcommand, "seed": run_cfg.seed, **summary}
         table, sweep = "results", None
-        lanes = ("qcs", "esct") if subcommand == "compare" else (subcommand,)
-        trial_counts = dict.fromkeys(lanes, run_cfg.trials)
+        trial_counts = {t[0].protocol.value: len(t) for t in tables}
         out.mkdir(parents=True, exist_ok=True)
-        write_results_csv(out / "results.csv", results)
+        write_results_csv(out / "results.csv", tables)
     _write_json(out / "summary.json", summary)
     outputs = {table: f"{table}.csv", "summary": "summary.json"}
     _write_json(out / "manifest.json", {

@@ -54,9 +54,6 @@ from .quantum import BasisPhase, EquatorialState, collapse_singlet  # noqa: F401
 from .rng import trial_stream  # noqa: F401
 from .transport import apply_transport  # noqa: F401
 
-#: Stream lane of the second protocol in runs that interleave two.
-LANE_BASELINE = 1
-
 _COUNT_WORDS = {1: "one", 2: "two"}
 
 
@@ -127,23 +124,23 @@ class Layout:
     def order(cls, columns) -> tuple:
         return tuple(sorted(columns, key=lambda c: (cls.GROUPS.index(c[0]), c[1])))
 
-    def row(self, trial_id: int, values) -> TrialResult:
-        return TrialResult(self.protocol, trial_id, self, self._arrange(values))
+    def row(self, values) -> TrialResult:
+        return TrialResult(self, self._arrange(values))
 
     def view(self, values, group: str) -> dict[str, float]:
         return {k: v for (g, k), v in zip(self.columns, values) if g == group}
 
 
 class TrialResult(NamedTuple):
-    """One trial's values in its layout's column order. `truth`, `estimate`, `error`
+    """One trial's values in its layout's column order. Its stream is its identity:
+    `run_trials` lists trial i at position i. `truth`, `estimate`, `error`
     (estimate - truth, exactly) and `diagnostics` are maps built on each access.
     """
 
-    protocol: Protocol
-    trial_id: int
     layout: Layout
     values: tuple
 
+    protocol = property(lambda r: r.layout.protocol)
     truth = property(lambda r: r.layout.view(r.values, "truth"))
     estimate = property(lambda r: r.layout.view(r.values, "estimate"))
     error = property(lambda r: r.layout.view(r.values, "error"))
@@ -270,18 +267,18 @@ def _phase_residual(cfg, species, omega, tau, nominal, rng):
 _layout = functools.cache(Layout)
 
 
-def run_qcs_basic(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
+def run_qcs_basic(cfg: ScenarioConfig, rng) -> TrialResult:
     """Single-species time-offset recovery (protocol steps 1-4)."""
     ((species, omega),) = cfg.species.items()
     tau, nominal = _trigger_interval(cfg, rng)
     residual, phi_common, est = _phase_residual(cfg, species, omega, tau, nominal, rng)
     t_true, t_hat = tau - nominal, residual / omega
-    return _layout(Protocol.QCS_BASIC, species).row(trial_id, (
+    return _layout(Protocol.QCS_BASIC, species).row((
         t_true, cfg.clock_b.y, phi_common, t_hat, t_hat - t_true,
         *est, est.n_used, est.sigma_theta / omega))
 
 
-def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
+def run_qcs_beat(cfg: ScenarioConfig, rng) -> TrialResult:
     """Two-species run; the phase difference beats at omega1 - omega2.
 
     The widened ambiguity window comes at a price: only the parts of the two
@@ -297,13 +294,13 @@ def run_qcs_beat(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
     r2, phi2, e2 = _phase_residual(cfg, sp2, omega2, tau, nominal, rng)
     beat_omega = omega1 - omega2
     t_true, t_beat = tau - nominal, wrap_pi(r1 - r2) / beat_omega
-    return _layout(Protocol.QCS_BEAT, sp1, sp2).row(trial_id, (
+    return _layout(Protocol.QCS_BEAT, sp1, sp2).row((
         t_true, cfg.clock_b.y, phi1, phi2, t_beat, t_beat - t_true,
         *e1, r1 / omega1, *e2, r2 / omega2,
         math.hypot(e1.sigma_theta, e2.sigma_theta) / abs(beat_omega)))
 
 
-def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
+def run_qcs_syntonize(cfg: ScenarioConfig, rng) -> TrialResult:
     """Doubled-ensemble rate recovery from two measurement epochs.
 
     Both sub-ensembles ride the same transport (one common-mode draw); the
@@ -331,15 +328,15 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResul
         estimates.append(_read_out(cfg, species, omega, blocks, phi_common, tau, rng))
     e1, e2 = estimates
     rate = estimate_rate(e1, t1, e2, t2, omega)
-    return _layout(Protocol.QCS_SYNTONIZE, species).row(trial_id, (
+    return _layout(Protocol.QCS_SYNTONIZE, species).row((
         cfg.clock_b.y, phi_common, rate.y_hat, rate.y_hat - cfg.clock_b.y,
         e1.theta_hat, e1.sigma_theta, e2.theta_hat, e2.sigma_theta, rate.sigma_y))
 
 
-def run_esct(cfg: ScenarioConfig, rng, trial_id: int = 0) -> TrialResult:
+def run_esct(cfg: ScenarioConfig, rng) -> TrialResult:
     """Slow-clock-transport baseline: the arrival error is the whole story."""
     err = esct_transfer(cfg.trip, rng)
-    return _layout(Protocol.ESCT_BASELINE).row(trial_id, (0.0, err, err - 0.0))
+    return _layout(Protocol.ESCT_BASELINE).row((0.0, err, err - 0.0))
 
 
 _RUNNERS = {
@@ -353,10 +350,9 @@ _RUNNERS = {
 def run_trials(protocol: Protocol, cfg: ScenarioConfig, lane: int = 0) -> list[TrialResult]:
     """Run cfg.trials independent trials, one Philox stream per (cfg.seed, trial, lane).
 
-    Results come back in trial_id order regardless of any execution order, so
-    a parallel driver would merge to the same stream.
+    Trial i is the runner on stream i, `runner(cfg, trial_stream(cfg.seed, i, lane))`,
+    and sits at position i, so a parallel driver would merge to the same table.
     """
     protocol.validate(cfg)
     runner = _RUNNERS[protocol]
-    streams = trial_streams(cfg.seed, cfg.trials, lane)
-    return [runner(cfg, rng, trial_id=i) for i, rng in enumerate(streams)]
+    return [runner(cfg, rng) for rng in trial_streams(cfg.seed, cfg.trials, lane)]

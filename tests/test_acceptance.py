@@ -73,7 +73,7 @@ def test_criterion_3_perfect_case_qcs_recovers_truth():
     cfg = one_species(clock_b={"x0": 3e-8, "delta_by_species": {"cs": 0.0}})
     hits = 0
     for i in range(100):
-        r = run_qcs_basic(cfg, trial_stream(300, i), trial_id=i)
+        r = run_qcs_basic(cfg, trial_stream(300, i))
         if abs(r.error["time_offset"]) < 3 * r.diagnostics["sigma_time"]:
             hits += 1
     _report(
@@ -158,7 +158,7 @@ def test_criterion_7_classical_channel_necessity():
     cfg = one_species(shuffle_type_list=True)
     phase_errors = []
     for i in range(100):
-        r = run_qcs_basic(cfg, trial_stream(707, i), trial_id=i)
+        r = run_qcs_basic(cfg, trial_stream(707, i))
         phase_errors.append(OMEGA_CS * r.error["time_offset"])
     produced = len(phase_errors)
     rbar = abs(np.mean(np.exp(1j * np.array(phase_errors))))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
@@ -111,6 +112,14 @@ def test_missing_species_is_named():
                  "clock_b.delta_by_species.cs: delta must be finite", id="delta--1e400"),
     pytest.param("epochs.b_measure", [0.25, 10**400], "epochs.b_measure entries must be finite",
                  id="b_measure-1e400"),
+    # an int literal that no float holds exactly would run as a neighbouring float
+    pytest.param("clock_b.x0", 2**53 + 1, "clock_b.x0 is an integer that no float holds exactly",
+                 id="x0-2**53+1"),
+    pytest.param("species.cs", 2**53 + 1, "species.cs is an integer that no float holds exactly",
+                 id="omega-2**53+1"),
+    pytest.param("epochs.b_measure", [0.25, 2**53 + 1],
+                 "epochs.b_measure[1] is an integer that no float holds exactly",
+                 id="b_measure-2**53+1"),
 ])
 def test_model_errors_name_the_dotted_path(path, value, message):
     doc = full_doc()
@@ -290,6 +299,19 @@ def test_load_config_reports_parse_location(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("text,key", [
+    ('"clock_b": {"delta_by_species": {"cs": 0.0}, "x0": 3e-8}, '
+     '"clock_b": {"delta_by_species": {"cs": 0.0}}', "clock_b"),
+    ('"clock_b": {"delta_by_species": {"cs": 0.0, "cs": 0.5}}', "cs"),
+], ids=["section", "species-entry"])
+def test_load_config_rejects_a_repeated_key(tmp_path, text, key):
+    p = tmp_path / "repeated.json"
+    p.write_text('{"species": {"cs": 1.0}, "clock_a": {"delta_by_species": {"cs": 0.0}}, '
+                 f'"transport": {{"beta_by_species": {{"cs": 0.0}}}}, {text}}}')
+    with pytest.raises(ConfigError, match=f"^config key '{key}' is repeated$"):
+        load_config(p)
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/nowhere.json")
@@ -342,6 +364,12 @@ def test_a_built_config_stores_floats_and_hashes_like_its_reloaded_json():
     assert type(cfg.species["cs"]) is float
     assert type(cfg.clock_b.x0) is float and type(cfg.epochs.b_measure[0]) is float
     assert cfg.sha256 == ScenarioConfig.from_dict(cfg.to_dict()).sha256 == _digest(cfg)
+
+
+@pytest.mark.parametrize("x0", [2**53 + 1, np.int64(2**53 + 1)], ids=["int", "numpy-int64"])
+def test_a_built_config_rejects_an_integer_no_float_holds(x0):
+    with pytest.raises(ConfigError, match="^x0 is an integer that no float holds exactly"):
+        built(clock_b=ClockModel(x0=x0, delta_by_species={"cs": 0.0}))
 
 
 def test_mapping_keys_of_a_built_config_must_be_strings():

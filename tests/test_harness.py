@@ -54,25 +54,26 @@ def test_results_csv_layout_and_precision(tmp_path):
 def test_results_csv_fills_each_cell_from_its_own_layout(tmp_path):
     # three layouts, two of them beat with other species names: every cell
     # holds the value its header names, or stays empty
-    results = [
-        *run_trials(Protocol.QCS_BEAT, two_species(
+    tables = [
+        run_trials(Protocol.QCS_BEAT, two_species(
             ensemble_size=5000, species={"rb": OMEGA_RB, "cs": OMEGA_CS}).with_run(1, 2)),
-        *run_trials(Protocol.QCS_BASIC, one_species(ensemble_size=5000).with_run(1, 2)),
-        *run_trials(Protocol.QCS_BEAT, two_species(
+        run_trials(Protocol.QCS_BASIC, one_species(ensemble_size=5000).with_run(1, 2)),
+        run_trials(Protocol.QCS_BEAT, two_species(
             ensemble_size=5000, species={"aa": OMEGA_RB, "zz": OMEGA_CS},
             clock_a={"delta_by_species": {"aa": 0.0, "zz": 0.0}},
             clock_b={"delta_by_species": {"aa": 0.0, "zz": 0.0}},
             transport={"beta_by_species": {"aa": 0.0, "zz": 0.0}}).with_run(1, 2)),
     ]
-    write_results_csv(tmp_path / "results.csv", results)
+    write_results_csv(tmp_path / "results.csv", tables)
     lines = (tmp_path / "results.csv").read_text().splitlines()
     header = lines[1].split(",")
     groups = ("truth", "estimate", "error", "diagnostics")
     columns = [tuple(name.split("_", 1)) for name in header[2:]]
     assert columns == sorted(columns, key=lambda c: (groups.index(c[0]), c[1]))
-    for r, line in zip(results, lines[2:], strict=True):
+    rows = [(i, r) for table in tables for i, r in enumerate(table)]
+    for (i, r), line in zip(rows, lines[2:], strict=True):
         cells = dict(zip(header, line.split(",")))
-        assert (cells.pop("trial_id"), cells.pop("protocol")) == (str(r.trial_id), r.protocol)
+        assert (cells.pop("trial_id"), cells.pop("protocol")) == (str(i), r.protocol)
         filled = {f"{g}_{k}": "%.17g" % v for g in groups for k, v in getattr(r, g).items()}
         assert cells == {name: filled.get(name, "") for name in cells}
 
@@ -80,9 +81,9 @@ def test_results_csv_fills_each_cell_from_its_own_layout(tmp_path):
 def test_results_csv_written_in_blocks_equals_the_whole_list_join(tmp_path):
     # 2500 rows: two full 1000-row blocks and a partial one
     results = run_trials(Protocol.QCS_BASIC, one_species(ensemble_size=1000).with_run(3, 2500))
-    write_results_csv(tmp_path / "results.csv", results)
-    header, templates = harness._csv_format(frozenset(r.layout for r in results))
-    lines = [templates[r.layout] % (r.trial_id, *r.values) for r in results]
+    write_results_csv(tmp_path / "results.csv", [results])
+    header, templates = harness._csv_format((results[0].layout,))
+    lines = [templates[r.layout] % (i, *r.values) for i, r in enumerate(results)]
     want = f"{harness._UNITS_COMMENT}\n{','.join(header)}\n" + "\n".join(lines) + "\n"
     assert (tmp_path / "results.csv").read_bytes() == want.encode("utf-8")
 
@@ -136,13 +137,13 @@ def _qcs_rows(trials, seed):
                estimate - truth, rng.uniform(0.0, 2 * math.pi, trials), sigma, n0,
                rng.binomial(n0, 0.3), n1, rng.binomial(n1, 0.6), n0 + n1, sigma / OMEGA_CS]
     layout = Layout(Protocol.QCS_BASIC, "cs")
-    return [layout.row(i, tuple(v)) for i, v in enumerate(np.array(columns, float).T.tolist())]
+    return [layout.row(tuple(v)) for v in np.array(columns, float).T.tolist()]
 
 
 def _esct_rows(trials, seed):
     error = np.random.default_rng(seed).normal(5e-9, 1e-9, trials).tolist()
     layout = Layout(Protocol.ESCT_BASELINE)
-    return [layout.row(i, (0.0, e, e - 0.0)) for i, e in enumerate(error)]
+    return [layout.row((0.0, e, e - 0.0)) for e in error]
 
 
 def _reference_stats(values):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qcs_sim import ConfigError, Protocol, TrialResult, run_trials, trial_stream
-from qcs_sim.protocols import LANE_BASELINE, _RUNNERS, Layout
+from qcs_sim.harness import LANE_BASELINE
+from qcs_sim.protocols import _RUNNERS, Layout
 from qcs_sim.rng import trial_streams
 
 from scenarios import matched_compare, syntonize, two_species
@@ -96,13 +97,13 @@ def test_run_trials_matches_one_fresh_stream_per_trial(name):
     first = run_trials(protocol, run_cfg, lane=lane)
     assert first == run_trials(protocol, run_cfg, lane=lane)
     runner = _RUNNERS[protocol]
-    assert first == [runner(cfg, trial_stream(11, i, lane), trial_id=i) for i in range(TRIALS)]
+    assert first == [runner(cfg, trial_stream(11, i, lane)) for i in range(TRIALS)]
     generators = (np.random.Generator, np.random.BitGenerator)
     assert not [o for o in _reachable(first) if isinstance(o, generators)]
 
 
 def test_reachability_walk_sees_a_generator_inside_a_trial_result():
-    held = Layout(Protocol.ESCT_BASELINE).row(0, (0.0, trial_stream(0, 0), 0.0))
+    held = Layout(Protocol.ESCT_BASELINE).row((0.0, trial_stream(0, 0), 0.0))
     assert isinstance(held, TrialResult)
     assert isinstance(held.estimate["time_offset"], np.random.Generator)
     assert [o for o in _reachable([held]) if isinstance(o, np.random.BitGenerator)]
