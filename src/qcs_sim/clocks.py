@@ -1,7 +1,8 @@
-"""Readings of the two sites' local clocks, plus the physical clock-trip baseline.
+"""When the two sites' local clocks reach a reading, plus the physical clock-trip baseline.
 
-Clocks are linear: reading(t) = x0 + (1 + y) * t with optional white noise per
-read. Richer noise (flicker, random walk) is deliberately out of scope; the
+Clocks are linear: a clock displays x0 + (1 + y) * t at true time t, with
+optional white noise per read, and `trigger_time` inverts that display.
+Richer noise (flicker, random walk) is deliberately out of scope; the
 protocols analyzed here assume at most a constant rate offset. The models,
 `ClockModel` and `ClockTrip`, are config sections and live in `config`.
 """
@@ -20,19 +21,8 @@ def basis_for(clock: ClockModel, species: str) -> float:
     return clock.delta_by_species[species]
 
 
-def read(clock: ClockModel, t_true: float, rng) -> float:
-    """Clock reading at true time t_true: x0 + (1 + y)*t_true + white noise."""
-    t_true = float(t_true)
-    if not math.isfinite(t_true):
-        raise ValueError("t_true must be finite")
-    value = clock.x0 + (1.0 + clock.y) * t_true
-    if clock.sigma_read > 0.0:
-        value += clock.sigma_read * rng.standard_normal()
-    return value
-
-
 def trigger_time(clock: ClockModel, reading: float, rng) -> float:
-    """True time at which the clock display reaches `reading` (inverse of read).
+    """True time at which the display x0 + (1 + y)*t reaches `reading`.
 
     With read noise, the event fires when the noisy display crosses the
     target, so one noise draw enters the inversion.

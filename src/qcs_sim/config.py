@@ -10,7 +10,8 @@ checked and stored as a loaded one is: floats as finite `float`s, mappings
 as read-only copies, `epochs.b_measure` as a tuple, and the cached
 `ScenarioConfig.sha256` holds. The models then check ranges and
 cross-references. Every error a file can cause is a ConfigError that names
-the field by its dotted path, such as `transport.beta_by_species.cs`.
+the field by its dotted path, such as `transport.beta_by_species.cs` or
+`epochs.b_measure[1]`, a repeated key included.
 """
 from __future__ import annotations
 
@@ -62,9 +63,6 @@ class ClockModel:
 
     def __post_init__(self):
         _store_fields(self)
-        for sp, delta in self.delta_by_species.items():
-            if not math.isfinite(delta):
-                raise ValueError(f"delta_by_species.{sp}: delta must be finite")
         object.__setattr__(self, "delta_by_species", MappingProxyType(
             {sp: canonicalize(delta) for sp, delta in self.delta_by_species.items()}))
         if self.y <= -1.0:
@@ -116,9 +114,6 @@ class TransportModel:
         for name in ("sigma_common", "sigma_pair"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        for sp, beta in self.beta_by_species.items():
-            if not math.isfinite(beta):
-                raise ValueError(f"beta_by_species.{sp} must be finite")
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,6 @@ class Epochs:
         _store_fields(self)
         if len(self.b_measure) == 0:
             raise ConfigError("b_measure must list at least one epoch")
-        if any(not math.isfinite(t) for t in self.b_measure):
-            raise ConfigError("b_measure entries must be finite")
         if any(b <= a for a, b in zip(self.b_measure, self.b_measure[1:])):
             raise ConfigError("b_measure must be strictly increasing")
 
@@ -165,8 +158,8 @@ class ScenarioConfig:
         if len(self.species) == 0:
             raise ConfigError("species must name at least one species")
         for sp, omega in self.species.items():
-            if not (math.isfinite(omega) and omega > 0.0):
-                raise ConfigError(f"species.{sp}: omega must be finite and > 0, got {omega}")
+            if omega <= 0.0:
+                raise ConfigError(f"species.{sp} must be > 0, got {omega}")
             if not _SPECIES_ID.fullmatch(sp):
                 raise ConfigError(
                     f"species id {sp!r} must match [A-Za-z0-9_]+ (it names CSV columns)"
@@ -233,19 +226,6 @@ class ScenarioConfig:
         return _value(cls, data, "")
 
 
-def _number(value, where) -> float:
-    """A real number (not a bool) as a float, +-inf beyond range; the caller checks finiteness."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond float range reads as JSON's 1e999 does
-        return math.inf if value > 0 else -math.inf
-    if isinstance(value, numbers.Integral) and number != int(value):
-        raise ConfigError(f"{where} is an integer that no float holds exactly, got {value!r}")
-    return number
-
-
 def _int(value, where) -> int:
     """An integer (numpy's too), or an integral float such as 1e6."""
     if isinstance(value, float) and value.is_integer():
@@ -269,15 +249,31 @@ def _schema(cls) -> tuple[dict[str, Any], tuple[str, ...], frozenset[str]]:
 def _value(tp, value, where: str):
     """`value` checked and stored as a `tp`; every error names the dotted `where`.
 
-    Tuple and mapping entries are numbers whose finiteness the model checks.
+    A JSON object arrives as its `_Pairs` and becomes a dict, one key each,
+    before any other check. Tuple and mapping entries are floats, each named
+    by its own path (`epochs.b_measure[1]`, `transport.beta_by_species.cs`).
     A section is built from its JSON object, with the dataclass defaults for
     missing fields; the model's ValueError comes back prefixed with `where`.
     """
+    prefix = f"{where}." if where else ""
+    if isinstance(value, _Pairs):
+        obj = dict(value)
+        if len(obj) < len(value):
+            keys = [k for k, _ in value]
+            raise ConfigError(f"{prefix}{next(k for k in obj if keys.count(k) > 1)} is repeated")
+        value = obj
     if tp is float:
-        value = _number(value, where)
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{where} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond float range reads as JSON's 1e999 does
+            number = math.inf
+        if not math.isfinite(number):
             raise ConfigError(f"{where} must be finite")
-        return value
+        if isinstance(value, numbers.Integral) and number != int(value):
+            raise ConfigError(f"{where} is an integer that no float holds exactly, got {value!r}")
+        return number
     if tp is int:
         return _int(value, where)
     if tp is bool:
@@ -288,16 +284,15 @@ def _value(tp, value, where: str):
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
-        return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+        return tuple(_value(float, v, f"{where}[{i}]") for i, v in enumerate(value))
     if not isinstance(value, Mapping):
         raise ConfigError(f"{where or 'config root'} must be an object, got {value!r}")
     if origin is Mapping:
         bad = [k for k in value if not isinstance(k, str)]
         if bad:
             raise ConfigError(f"{where} keys must be strings, got {bad!r}")
-        return MappingProxyType({k: _number(v, f"{where}.{k}") for k, v in value.items()})
+        return MappingProxyType({k: _value(float, v, f"{where}.{k}") for k, v in value.items()})
     types, required, sections = _schema(tp)
-    prefix = f"{where}." if where else ""
     unknown = value.keys() - types
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(f'{prefix}{k}' for k in unknown)}")
@@ -333,20 +328,15 @@ def _plain(value):
     return {name: _plain(getattr(value, name)) for name in _schema(type(value))[0]}
 
 
-def _object(pairs) -> dict:
-    """One JSON object's members; a key given twice is a ConfigError naming it."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        raise ConfigError(f"config key {next(k for k in obj if keys.count(k) > 1)!r} is repeated")
-    return obj
+class _Pairs(list):
+    """A JSON object's (key, value) pairs as `load_config` reads them; `_value` makes the dict."""
 
 
 def load_config(path) -> ScenarioConfig:
     """Load and fully validate a scenario file; raises ConfigError on any defect."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_object)
+            data = json.load(fh, object_pairs_hook=_Pairs)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

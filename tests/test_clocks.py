@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcs_sim import ClockModel, ClockTrip
-from qcs_sim.clocks import basis_for, esct_transfer, read, trigger_time
+from qcs_sim.clocks import basis_for, esct_transfer, trigger_time
 from qcs_sim.quantum import canonicalize
 
 # the stream for calls without noise, which draw nothing from it
@@ -13,12 +13,12 @@ QUIET = np.random.default_rng(0)
 
 def test_perfect_clock_reads_true_time():
     c = ClockModel()
-    assert read(c, 5.0, QUIET) == 5.0
+    assert trigger_time(c, 5.0, QUIET) == 5.0
 
 
 def test_linear_clock_closed_form():
     c = ClockModel(x0=1e-6, y=1e-9)
-    assert read(c, 1000.0, QUIET) == 1e-6 + 1000.0 * (1 + 1e-9)
+    assert trigger_time(c, 1000.0, QUIET) == (1000.0 - 1e-6) / (1 + 1e-9)
 
 
 def test_read_linearity_without_noise():
@@ -26,26 +26,29 @@ def test_read_linearity_without_noise():
     rng = np.random.default_rng(0)
     for _ in range(200):
         a, b = rng.uniform(-1e4, 1e4, 2)
-        diff = read(c, a + b, rng) - read(c, a, rng)
-        assert math.isclose(diff, (1 + c.y) * b, rel_tol=1e-9, abs_tol=1e-10)
-    # dyadic inputs make every product and sum exact, so the identity is bitwise
-    c = ClockModel(x0=2.0**-3, y=2.0**-20)
+        diff = trigger_time(c, a + b, rng) - trigger_time(c, a, rng)
+        assert math.isclose(diff, b / (1 + c.y), rel_tol=1e-9, abs_tol=1e-10)
+    # dyadic inputs and 1 + y = 2 make every difference and quotient exact,
+    # so the identity is bitwise
+    c = ClockModel(x0=2.0**-3, y=1.0)
     a, b = 2.0**10, 2.0**4
-    assert read(c, a + b, rng) - read(c, a, rng) == (1 + c.y) * b
+    assert trigger_time(c, a + b, rng) - trigger_time(c, a, rng) == b / (1 + c.y)
 
 
 def test_read_noise_std():
-    c = ClockModel(sigma_read=1e-9)
+    # one read-noise draw, seen on the true-time axis: std sigma_read / (1 + y)
+    c = ClockModel(sigma_read=1e-9, y=0.25)
     rng = np.random.default_rng(12)
-    samples = np.array([read(c, 3.0, rng) for _ in range(10_000)])
-    assert 0.9e-9 < samples.std(ddof=1) < 1.1e-9
+    samples = np.array([trigger_time(c, 3.0, rng) for _ in range(10_000)])
+    assert 0.9 * 0.8e-9 < samples.std(ddof=1) < 1.1 * 0.8e-9
 
 
 def test_trigger_time_inverts_read():
+    # the oracle is the clock's display model, reading(t) = x0 + (1 + y) * t
     c = ClockModel(x0=-2.5e-6, y=3e-8)
     for reading in (-3.0, 0.0, 17.25):
         t_true = trigger_time(c, reading, QUIET)
-        assert math.isclose(read(c, t_true, QUIET), reading, rel_tol=1e-15)
+        assert math.isclose(c.x0 + (1 + c.y) * t_true, reading, rel_tol=1e-15)
 
 
 def test_delta_lookup_is_total():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,19 +99,19 @@ def test_missing_species_is_named():
     ("transport.sigma_common", -1.0, "transport.sigma_common must be >= 0"),
     ("clock_b.sigma_read", -1.0, "clock_b.sigma_read must be >= 0"),
     ("clock_b.y", -1.0, "clock_b.y must be > -1"),
-    ("clock_a.delta_by_species.cs", math.nan, "clock_a.delta_by_species.cs: delta must be finite"),
+    ("clock_a.delta_by_species.cs", math.nan, "clock_a.delta_by_species.cs must be finite"),
     ("transport.beta_by_species.cs", math.inf, "transport.beta_by_species.cs must be finite"),
     ("trip.duration", 0.0, "trip.duration must be > 0"),
     ("epochs.a_start", math.nan, "epochs.a_start must be finite"),
-    ("species.cs", -1.0, "species.cs: omega must be finite and > 0"),
+    ("species.cs", -1.0, "species.cs must be > 0"),
     # an int literal beyond float range reads as inf, as JSON's 1e999 does
     pytest.param("clock_b.x0", 10**400, "clock_b.x0 must be finite", id="x0-1e400"),
     pytest.param("trip.alpha", -10**400, "trip.alpha must be finite", id="alpha--1e400"),
-    pytest.param("species.cs", 10**400, "species.cs: omega must be finite and > 0, got inf",
+    pytest.param("species.cs", 10**400, "species.cs must be finite",
                  id="omega-1e400"),
     pytest.param("clock_b.delta_by_species.cs", -10**400,
-                 "clock_b.delta_by_species.cs: delta must be finite", id="delta--1e400"),
-    pytest.param("epochs.b_measure", [0.25, 10**400], "epochs.b_measure entries must be finite",
+                 "clock_b.delta_by_species.cs must be finite", id="delta--1e400"),
+    pytest.param("epochs.b_measure", [0.25, 10**400], "epochs.b_measure[1] must be finite",
                  id="b_measure-1e400"),
     # an int literal that no float holds exactly would run as a neighbouring float
     pytest.param("clock_b.x0", 2**53 + 1, "clock_b.x0 is an integer that no float holds exactly",
@@ -135,10 +136,11 @@ def test_model_errors_name_the_dotted_path(path, value, message):
 
 def test_nonpositive_omega_rejected():
     for omega in (0.0, -3.0, math.inf, math.nan):
-        with pytest.raises(ConfigError, match="^species.cs: omega must be finite and > 0"):
+        message = "^species.cs must be " + ("> 0" if math.isfinite(omega) else "finite")
+        with pytest.raises(ConfigError, match=message):
             ScenarioConfig.from_dict(dict(MINIMAL, species={"cs": omega}))
         # checked before the species' cross-references
-        with pytest.raises(ConfigError, match="^species.cs: omega must be finite and > 0"):
+        with pytest.raises(ConfigError, match=message):
             ScenarioConfig(species={"cs": omega})
 
 
@@ -299,17 +301,38 @@ def test_load_config_reports_parse_location(tmp_path):
         load_config(p)
 
 
-@pytest.mark.parametrize("text,key", [
+#: MINIMAL as JSON text, one root member each; a case's text replaces the member it names.
+MINIMAL_TEXT = {"species": '{"cs": 1.0}', "clock_a": '{"delta_by_species": {"cs": 0.0}}',
+                "transport": '{"beta_by_species": {"cs": 0.0}}',
+                "clock_b": '{"delta_by_species": {"cs": 0.0}}'}
+
+
+def _minimal_with(tmp_path, text):
+    members = [f'"{k}": {v}' for k, v in MINIMAL_TEXT.items() if not text.startswith(f'"{k}"')]
+    p = tmp_path / "config.json"
+    p.write_text("{" + ", ".join(members + [text]) + "}")
+    return p
+
+
+@pytest.mark.parametrize("text,path", [
     ('"clock_b": {"delta_by_species": {"cs": 0.0}, "x0": 3e-8}, '
      '"clock_b": {"delta_by_species": {"cs": 0.0}}', "clock_b"),
-    ('"clock_b": {"delta_by_species": {"cs": 0.0, "cs": 0.5}}', "cs"),
-], ids=["section", "species-entry"])
-def test_load_config_rejects_a_repeated_key(tmp_path, text, key):
-    p = tmp_path / "repeated.json"
-    p.write_text('{"species": {"cs": 1.0}, "clock_a": {"delta_by_species": {"cs": 0.0}}, '
-                 f'"transport": {{"beta_by_species": {{"cs": 0.0}}}}, {text}}}')
-    with pytest.raises(ConfigError, match=f"^config key '{key}' is repeated$"):
-        load_config(p)
+    ('"clock_b": {"delta_by_species": {"cs": 0.0, "cs": 0.5}}', "clock_b.delta_by_species.cs"),
+    ('"species": {"cs": 1.0, "cs": 2.0}', "species.cs"),
+    ('"transport": {"beta_by_species": {"cs": 0.0, "cs": 0.1}}', "transport.beta_by_species.cs"),
+], ids=["section", "species-entry", "omega", "beta"])
+def test_load_config_rejects_a_repeated_key(tmp_path, text, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} is repeated$"):
+        load_config(_minimal_with(tmp_path, text))
+
+
+@pytest.mark.parametrize("text,message", [
+    ('"species": {"cs": {"omega": 1.0}}', "species.cs must be a number, got {'omega': 1.0}"),
+    ('"epochs": {"b_measure": [{"t": 1.0}]}', "epochs.b_measure[0] must be a number, got {'t': 1.0}"),
+], ids=["map-entry", "list-entry"])
+def test_load_config_shows_an_object_where_a_number_belongs_as_read(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(_minimal_with(tmp_path, text))
 
 
 def test_load_config_missing_file():

@@ -82,8 +82,8 @@ def _nodes(node, path=()):
 
 
 def _dotted(path):
-    """The dotted path a message names; a list entry is named by its list."""
-    return ".".join(str(p) for p in path if not isinstance(p, int))
+    """The dotted path a message names; a list entry is named by its index, as `b_measure[1]`."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
 
 
 def _field(path):

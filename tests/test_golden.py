@@ -44,6 +44,10 @@ def _cases():
         "qcs-shuffle": (dict(subcommand="qcs", seed=18), one_species(
             ensemble_size=4000, trials=4, use_type_i=True, shuffle_type_list=True,
             clock_b=noisy_b, transport=dict(noisy_transport, sigma_pair=0.02))),
+        # a shuffled list without use_type_i: one block per announced type-II sub-ensemble
+        "qcs-shuffle-plain": (dict(subcommand="qcs", seed=26), one_species(
+            ensemble_size=4000, trials=4, shuffle_type_list=True, clock_b=noisy_b,
+            transport=dict(noisy_transport, sigma_pair=0.02))),
         "qcs-read-noise": (dict(subcommand="qcs", seed=21), one_species(
             ensemble_size=4000, trials=4, clock_a=noisy_a, clock_b=noisy_b,
             transport=noisy_transport)),
@@ -57,6 +61,9 @@ def _cases():
             transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
         "syntonize-shuffle": (dict(subcommand="syntonize", seed=19), syntonize(
             y=1e-12, ensemble_size=8000, trials=4, use_type_i=True, shuffle_type_list=True,
+            transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
+        "syntonize-shuffle-plain": (dict(subcommand="syntonize", seed=27), syntonize(
+            y=1e-12, ensemble_size=8000, trials=4, shuffle_type_list=True,
             transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
         "syntonize-read-noise": (dict(subcommand="syntonize", seed=22), syntonize(
             y=1e-12, ensemble_size=8000, trials=4, clock_a=noisy_a,
@@ -158,6 +165,12 @@ GOLDEN = {
             "50faafffe39068e6ab107a6f956331fed8ccb453b52585fa16126a4085e63764",
         "qcs-shuffle/manifest.json":
             "13e2981368b04cf1af7fb4027e8aec6121c70feecdc960d236a94aa84265f457",
+        "qcs-shuffle-plain/results.csv":
+            "743ae2eabe248485c6a43c2fa025bb438cb7aca1d388e7c70130ffefbb3f88f0",
+        "qcs-shuffle-plain/summary.json":
+            "1b944f4d31395e587b4d54316b5d66f0dc0eec158b88b98b552b8441131dc21f",
+        "qcs-shuffle-plain/manifest.json":
+            "aa35fe44afb79b43b001ba677b56f717b3df01c26b369aeec326ed9e993c8f69",
         "sweep/sweep.csv":
             "0c8e558cbeab6b4372075c8e9d46c63c9c2a556bc4d1fe348c3594fdce7e3284",
         "sweep/summary.json":
@@ -200,6 +213,12 @@ GOLDEN = {
             "fa038009642c039a476576a0b833f7dab0990310621dd5e933c91964a8ef423c",
         "syntonize-shuffle/manifest.json":
             "e790263fa06d192f7a7ff257704d652bb6585ce6eae63a1429ce50222e240bbb",
+        "syntonize-shuffle-plain/results.csv":
+            "a2889010f664ec319d4e7ef00c2083763c8ae9390dca3b859fa7269431f4151b",
+        "syntonize-shuffle-plain/summary.json":
+            "efc16a5485564701e1f4ba970f21f50121eca1c3a773e0c93d3cf47b97797b0f",
+        "syntonize-shuffle-plain/manifest.json":
+            "fa5219eb9ccb150757e977f156567e76f52e0f5419615035e3ef8c2516446462",
     },
 }
 
