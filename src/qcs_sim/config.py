@@ -182,13 +182,15 @@ class ScenarioConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a u64, got {self.seed}")
-        for sp in self.species:
-            if sp not in self.clock_a.delta_by_species:
-                raise ConfigError(f"clock_a.delta_by_species has no entry for species {sp!r}")
-            if sp not in self.clock_b.delta_by_species:
-                raise ConfigError(f"clock_b.delta_by_species has no entry for species {sp!r}")
-            if sp not in self.transport.beta_by_species:
-                raise ConfigError(f"transport.beta_by_species has no entry for species {sp!r}")
+        for where, entries in (("clock_a.delta_by_species", self.clock_a.delta_by_species),
+                               ("clock_b.delta_by_species", self.clock_b.delta_by_species),
+                               ("transport.beta_by_species", self.transport.beta_by_species)):
+            for sp in self.species:
+                if sp not in entries:
+                    raise ConfigError(f"{where} has no entry for species {sp!r}")
+            for sp in entries:
+                if sp not in self.species:
+                    raise ConfigError(f"{where}.{sp} names no configured species")
         if self.noiseless:
             noisy = []
             if self.transport.sigma_common > 0 or self.transport.sigma_pair > 0:

@@ -59,13 +59,6 @@ class RateEstimate(NamedTuple):
     sigma_y: float
 
 
-def _smoothed_var(k, n):
-    # Jeffreys-style smoothing keeps the variance estimate positive at k in
-    # {0, n}; negligible for interior counts.
-    p = (k + 0.5) / (n + 1.0)
-    return 4.0 * p * (1.0 - p) / n
-
-
 def estimate_phase(n0, k0, n1, k1, delta0: float) -> PhaseEstimate:
     """Recover the state phase from the counts of two quadrature readouts.
 
@@ -100,10 +93,13 @@ def estimate_phase(n0, k0, n1, k1, delta0: float) -> PhaseEstimate:
             f"(c={c:.3e}, s={s:.3e})"
         )
     theta_hat = canonicalize(delta0 + math.atan2(s, c))
-    var_c = _smoothed_var(k0, n0)
-    var_s = _smoothed_var(k1, n1)
+    # Jeffreys-style smoothing keeps each variance positive at k in {0, n}, negligible inside
+    p0, p1 = (k0 + 0.5) / (n0 + 1.0), (k1 + 0.5) / (n1 + 1.0)
+    var_c = 4.0 * p0 * (1.0 - p0) / n0
+    var_s = 4.0 * p1 * (1.0 - p1) / n1
     sigma = math.sqrt(s * s * var_c + c * c * var_s) / r2
-    return PhaseEstimate(theta_hat, sigma, n0, k0, n1, k1)
+    # tuple.__new__ builds what PhaseEstimate(...) would, without its Python-level __new__
+    return tuple.__new__(PhaseEstimate, (theta_hat, sigma, n0, k0, n1, k1))
 
 
 def estimate_rate(
@@ -131,7 +127,7 @@ def estimate_rate(
     unwrapped = dtheta + TWO_PI * k
     y_hat = (unwrapped + advance_nominal) / advance_nominal
     sigma_y = math.hypot(e1.sigma_theta, e2.sigma_theta) / advance_nominal
-    return RateEstimate(y_hat, sigma_y)
+    return tuple.__new__(RateEstimate, (y_hat, sigma_y))
 
 
 def check_rate_ambiguity(omega: float, y_true: float, dt: float):

@@ -21,14 +21,14 @@ convention a transport phase phi biases t_hat by -phi/omega (an effective
 delay alpha gives bias -alpha, in basic and beat runs alike) and an
 oscillator-phase mismatch biases it by (delta_B - delta_A)/omega.
 
-Sampling: counts are drawn exactly, without simulating pairs. B's kept list
-is a sequence of (good, bad) blocks: good pairs sit at the common phase,
-bad pairs (partners a shuffled list mislabels) sit half a turn away, and
-each block is in uniformly random order. Basis 0 reads the first half
-of the list, so its good count is hypergeometric block by block, and each
-basis then yields a Binomial count per kind. An honest list has no bad
-pairs, so its split needs no draw and each basis is one Binomial draw;
-the block walk runs only for lists with bad pairs. Independent per-pair
+Sampling: counts are drawn exactly, without simulating pairs. An honest
+list has no mislabeled pairs, so B's kept list is one count, and each basis
+reads its half with one Binomial draw. A shuffled list is a sequence of
+(good, bad) blocks: good pairs sit at the common phase, bad pairs (partners
+the shuffle mislabels) sit half a turn away, and each block is in uniformly
+random order. Basis 0 reads the first half of the list, so its good count
+is hypergeometric block by block, and each basis then yields a Binomial
+count per kind; only shuffled lists walk blocks. Independent per-pair
 transport jitter enters as the contrast factor exp(-sigma_pair**2 / 2). The
 per-pair simulation this law replaces is kept in tests/pairwise_oracle.py as
 the reference the sampler is tested against.
@@ -41,7 +41,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
 
-from .clocks import basis_for, esct_transfer, trigger_time
+from .clocks import esct_transfer, trigger_time
 from .config import ScenarioConfig
 from .estimation import check_rate_ambiguity, estimate_phase, estimate_rate, wrap_pi
 from .quantum import canonicalize, evolve, imprint_phase, prob_pos
@@ -49,6 +49,7 @@ from .rng import trial_streams
 from .transport import transport_phase
 
 # unused here; perfbench's tracer looks these names up in this module
+from .clocks import basis_for  # noqa: F401
 from .estimation import MeasurementRecord  # noqa: F401
 from .quantum import BasisPhase, EquatorialState, collapse_singlet  # noqa: F401
 from .rng import trial_stream  # noqa: F401
@@ -125,7 +126,8 @@ class Layout:
         return tuple(sorted(columns, key=lambda c: (cls.GROUPS.index(c[0]), c[1])))
 
     def row(self, values) -> TrialResult:
-        return TrialResult(self, self._arrange(values))
+        # tuple.__new__ builds what TrialResult(...) would, without its Python-level __new__
+        return tuple.__new__(TrialResult, (self, self._arrange(values)))
 
     def view(self, values, group: str) -> dict[str, float]:
         return {k: v for (g, k), v in zip(self.columns, values) if g == group}
@@ -150,8 +152,17 @@ class TrialResult(NamedTuple):
 # -- one sub-ensemble: select, dephase, read out ---------------------------
 
 
+def _kept(cfg, n, rng):
+    """B's kept list from n pairs: (good, bad) blocks if shuffled, else a count made after
+    A's one Binomial(n, 1/2) draw: her type II outcomes, or all n with use_type_i."""
+    if cfg.shuffle_type_list:
+        return _kept_lists(cfg, (n,), rng)[0]
+    m = 0.5 * n if cfg.noiseless else int(rng.binomial(n, 0.5))
+    return n if cfg.use_type_i else m
+
+
 def _kept_lists(cfg, sizes, rng):
-    """B's kept list for each sub-ensemble of one collapse, as (good, bad) blocks.
+    """B's kept (good, bad) blocks for each sub-ensemble of one collapse, from a shuffled list.
 
     A's type list covers all `sizes` pairs, so shuffling it in transit mixes
     labels across sub-ensembles: the announced type II pairs are a uniform
@@ -159,13 +170,7 @@ def _kept_lists(cfg, sizes, rng):
     With use_type_i the announced type I pairs follow, corrected by pi, which
     makes A's true type I partners good and mislabeled type II partners bad.
     """
-    if cfg.noiseless:
-        ms = [0.5 * n for n in sizes]
-    else:  # A's type II outcomes per sub-ensemble
-        ms = [int(rng.binomial(n, 0.5)) for n in sizes]
-    if not cfg.shuffle_type_list:
-        # every partner is good; with use_type_i both types make one block of n
-        return [[(n, 0)] for n in (sizes if cfg.use_type_i else ms)]
+    ms = [int(rng.binomial(n, 0.5)) for n in sizes]  # A's type II outcomes
     colors = [c for n, m in zip(sizes, ms) for c in (m, n - m)]
     cells = rng.multivariate_hypergeometric(colors, sum(ms)).tolist()
     announced_ii = list(zip(cells[0::2], cells[1::2]))
@@ -198,14 +203,17 @@ def _count_pos(good, bad, p, rng):
     return k + int(rng.binomial(bad, 1.0 - p)) if bad else k
 
 
-def _measure_quadratures(cfg, theta, blocks, delta0, rng):
-    """Counts (n0, k0, n1, k1) of B's kept list read at delta0 (first half) and delta0 + pi/2."""
+def _measure_quadratures(cfg, theta, kept, delta0, rng):
+    """Counts (n0, k0, n1, k1) of B's `kept` list (see `_kept`) read at delta0 (first half)
+    and delta0 + pi/2; an honest count's halves are two direct Binomial draws."""
     p0 = prob_pos(theta, delta0)
     p1 = prob_pos(theta, canonicalize(delta0 + 0.5 * math.pi))
-    n_kept = n_bad = 0
-    for good, bad in blocks:
-        n_kept += good + bad
-        n_bad += bad
+    n_kept, n_bad = kept, 0
+    if isinstance(kept, list):
+        n_kept = 0
+        for good, bad in kept:
+            n_kept += good + bad
+            n_bad += bad
     if cfg.noiseless:
         n0 = n1 = 0.5 * n_kept
         return n0, n0 * p0, n1, n1 * p1
@@ -217,18 +225,18 @@ def _measure_quadratures(cfg, theta, blocks, delta0, rng):
         p1 = 0.5 + contrast * (p1 - 0.5)
     n0 = n_kept // 2
     n1 = n_kept - n0
-    g0, g1 = _split_good(blocks, n0, rng) if n_bad else (n0, n1)
+    if not n_bad:
+        return n0, int(rng.binomial(n0, p0)), n1, int(rng.binomial(n1, p1))
+    g0, g1 = _split_good(kept, n0, rng)
     return n0, _count_pos(g0, n0 - g0, p0, rng), n1, _count_pos(g1, n1 - g1, p1, rng)
 
 
-def _read_out(cfg, species, omega, blocks, phi_common, tau, rng):
-    """Collapse, transport by phi_common, precession for tau, and readout of B's `blocks`.
-
-    Returns the PhaseEstimate, which carries the counts it was read from.
-    """
-    theta = evolve(imprint_phase(basis_for(cfg.clock_a, species), phi_common), omega, tau)
-    delta0 = basis_for(cfg.clock_b, species)
-    return estimate_phase(*_measure_quadratures(cfg, theta, blocks, delta0, rng), delta0)
+def _read_out(cfg, species, omega, kept, theta0, tau, rng):
+    """Precession for tau from theta0 (A's basis phase, transport imprinted) and readout of
+    B's `kept` list; the PhaseEstimate carries the counts it was read from."""
+    delta0 = cfg.clock_b.delta_by_species[species]
+    counts = _measure_quadratures(cfg, evolve(theta0, omega, tau), kept, delta0, rng)
+    return estimate_phase(*counts, delta0)
 
 
 def _trigger_interval(cfg, rng):
@@ -250,10 +258,11 @@ def _phase_residual(cfg, species, omega, tau, nominal, rng):
     Returns (residual in (-pi, pi], phi_common, PhaseEstimate); the runners
     list the estimate's six fields as its readout columns.
     """
-    (blocks,) = _kept_lists(cfg, (cfg.ensemble_size,), rng)
+    kept = _kept(cfg, cfg.ensemble_size, rng)
     phi_common = transport_phase(cfg.transport, species, omega, rng)
-    est = _read_out(cfg, species, omega, blocks, phi_common, tau, rng)
-    theta_exp = canonicalize(basis_for(cfg.clock_b, species) - omega * nominal)
+    theta0 = imprint_phase(cfg.clock_a.delta_by_species[species], phi_common)
+    est = _read_out(cfg, species, omega, kept, theta0, tau, rng)
+    theta_exp = canonicalize(cfg.clock_b.delta_by_species[species] - omega * nominal)
     return wrap_pi(theta_exp - est.theta_hat), phi_common, est
 
 
@@ -317,6 +326,7 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng) -> TrialResult:
     n_half = cfg.ensemble_size // 2
     halves = (n_half, cfg.ensemble_size - n_half)
     phi_common = transport_phase(cfg.transport, species, omega, rng)
+    theta0 = imprint_phase(cfg.clock_a.delta_by_species[species], phi_common)
     # a shuffled list couples the halves, so both are drawn at once; an honest
     # one is drawn half by half, after B's trigger for that half
     kept = _kept_lists(cfg, halves, rng) if cfg.shuffle_type_list else None
@@ -324,8 +334,8 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng) -> TrialResult:
     estimates = []
     for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
         tau = trigger_time(cfg.clock_b, epoch, rng) - t_collapse
-        blocks = kept[h] if kept else _kept_lists(cfg, (n_pairs,), rng)[0]
-        estimates.append(_read_out(cfg, species, omega, blocks, phi_common, tau, rng))
+        kept_h = kept[h] if kept else _kept(cfg, n_pairs, rng)
+        estimates.append(_read_out(cfg, species, omega, kept_h, theta0, tau, rng))
     e1, e2 = estimates
     rate = estimate_rate(e1, t1, e2, t2, omega)
     return _layout(Protocol.QCS_SYNTONIZE, species).row((

@@ -36,10 +36,11 @@ def canonicalize(theta: float) -> float:
 
 
 def _angle(theta: float) -> float:
-    """A state phase reduced to [0, 2*pi); a non-finite one raises ValueError."""
+    """A state phase reduced to [0, 2*pi) as `canonicalize` does; ValueError if non-finite."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    return canonicalize(theta)
+    t = theta % TWO_PI
+    return t - TWO_PI if t >= TWO_PI else t
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,6 +78,18 @@ def test_by_species_list_names_its_path(section, key):
         ScenarioConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("section,key", [
+    ("clock_a", "delta_by_species"),
+    ("clock_b", "delta_by_species"),
+    ("transport", "beta_by_species"),
+])
+def test_by_species_entry_for_an_unlisted_species_is_named(section, key):
+    # a mistyped species id next to the right one would be stored and hashed unread
+    doc = dict(MINIMAL, **{section: {key: {"cs": 0.0, "Cs": 0.3}}})
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}\.Cs names no configured species$"):
+        ScenarioConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize("section", ["species", "clock_a", "transport", "trip", "epochs"])
 def test_null_section_must_be_an_object(section):
     with pytest.raises(ConfigError, match=f"^{section} must be an object"):

@@ -38,6 +38,11 @@ def _cases():
             ensemble_size=4000, trials=2, noiseless=True,
             clock_b={"x0": 2e-8, "delta_by_species": {"cs": 0.3}},
             epochs={"a_start": 0.0, "b_measure": [1e-3]})),
+        # an honest noiseless list with use_type_i keeps all n pairs as expected counts
+        "qcs-noiseless-type-i": (dict(subcommand="qcs", seed=2), one_species(
+            ensemble_size=4000, trials=2, noiseless=True, use_type_i=True,
+            clock_b={"x0": 2e-8, "delta_by_species": {"cs": 0.3}},
+            epochs={"a_start": 0.0, "b_measure": [1e-3]})),
         "qcs-pairwise": (dict(subcommand="qcs", seed=12), one_species(
             ensemble_size=4000, trials=4, use_type_i=True, clock_b=noisy_b,
             transport=dict(noisy_transport, sigma_pair=0.02))),
@@ -55,6 +60,12 @@ def _cases():
             ensemble_size=4000, trials=6, use_type_i=True,
             clock_b={"sigma_read": 1e-10, "delta_by_species": {"cs": 0.7, "rb": 0.7}},
             transport={"alpha": 1e-9, "sigma_common": 0.01,
+                       "beta_by_species": {"cs": 0.0, "rb": 0.3}})),
+        # an honest list without use_type_i, read with sigma_pair contrast
+        "beat-plain": (dict(subcommand="beat", seed=28), two_species(
+            ensemble_size=4000, trials=6,
+            clock_b={"sigma_read": 1e-10, "delta_by_species": {"cs": 0.7, "rb": 0.7}},
+            transport={"alpha": 1e-9, "sigma_common": 0.01, "sigma_pair": 0.02,
                        "beta_by_species": {"cs": 0.0, "rb": 0.3}})),
         "syntonize": (dict(subcommand="syntonize", seed=14), syntonize(
             y=1e-12, ensemble_size=8000, trials=6,
@@ -123,6 +134,12 @@ GOLDEN = {
             "97f50b1584aa77a8bbfb4527049c089f47b22a130e7899b9262f98200da80f50",
         "beat-noiseless/manifest.json":
             "d798d90ce5432ebaef47d097701ba00cf806246b62f504f8addfac53aafafeeb",
+        "beat-plain/results.csv":
+            "3bb24b7be3f78464e780470211d5ced00bcdb45b5be2e6ee6cfc0824019adc6c",
+        "beat-plain/summary.json":
+            "6739e35c5ac58002a0c1b01e3a2c1223ecec3f6d7e21da8ad6423f35ff9057e6",
+        "beat-plain/manifest.json":
+            "def3d3b738889667ae29d886788e6731c9c300025952ef44fde70522f7420d8a",
         "compare/results.csv":
             "460fba9a5c8ad1712a2a58cb9e3f80232da562fa3adfb6dc5c5abeffe6dd5059",
         "compare/summary.json":
@@ -147,6 +164,12 @@ GOLDEN = {
             "2dd009737c6c5681b6f32db9d6660763198fe2b362d430478afed347b262ffdd",
         "qcs-noiseless/manifest.json":
             "e07d61b599942db9061fa2019769cab9e0aadd04e89ecf93c01c1f3fcef33933",
+        "qcs-noiseless-type-i/results.csv":
+            "f81ae35a97072d5399755e955e9fb57755496f55c26db975a2a70486d7e4065b",
+        "qcs-noiseless-type-i/summary.json":
+            "f17df1deabeed21f64a8b60aa4aee111d2cf199173f3cf73db37642632d4ec18",
+        "qcs-noiseless-type-i/manifest.json":
+            "8bba51dc68cf4a2a5bfa084d3eddfdebefa7061cc1e7e3d41efc2b87b7bc305e",
         "qcs-pairwise/results.csv":
             "6859b854848e43125cc033f7ff6deee9d04c96032ef5962967040ba0e53a1bb5",
         "qcs-pairwise/summary.json":

@@ -127,8 +127,9 @@ ORACLE_CASES = {
 
 def _production_counts(cfg, sizes, rng):
     """(n0, k0, n1, k1) per sub-ensemble from the simulator's count sampler."""
-    return [protocols._measure_quadratures(cfg, ORACLE_PHASES[0], blocks, 0.0, rng)
-            for blocks in protocols._kept_lists(cfg, sizes, rng)]
+    kept = (protocols._kept_lists(cfg, sizes, rng) if cfg.shuffle_type_list
+            else [protocols._kept(cfg, n, rng) for n in sizes])
+    return [protocols._measure_quadratures(cfg, ORACLE_PHASES[0], k, 0.0, rng) for k in kept]
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
