@@ -52,13 +52,6 @@ class PhaseEstimate(NamedTuple):
     n_used = property(lambda e: e.n0 + e.n1)
 
 
-class RateEstimate(NamedTuple):
-    """A recovered fractional rate offset with its propagated standard error."""
-
-    y_hat: float
-    sigma_y: float
-
-
 def estimate_phase(n0, k0, n1, k1, delta0: float) -> PhaseEstimate:
     """Recover the state phase from the counts of two quadrature readouts.
 
@@ -108,8 +101,8 @@ def estimate_rate(
     e2: PhaseEstimate,
     t2: float,
     omega: float,
-) -> RateEstimate:
-    """Fractional rate offset of the local clock from phases at two epochs.
+) -> tuple[float, float]:
+    """Fractional rate offset of the local clock from phases at two epochs, (y_hat, sigma_y).
 
     t1 < t2 are the local clock readings at which the two phases were
     measured, and omega is the species' angular frequency, rad/s. The phase
@@ -126,8 +119,7 @@ def estimate_rate(
     k = round((-advance_nominal - dtheta) / TWO_PI)
     unwrapped = dtheta + TWO_PI * k
     y_hat = (unwrapped + advance_nominal) / advance_nominal
-    sigma_y = math.hypot(e1.sigma_theta, e2.sigma_theta) / advance_nominal
-    return tuple.__new__(RateEstimate, (y_hat, sigma_y))
+    return y_hat, math.hypot(e1.sigma_theta, e2.sigma_theta) / advance_nominal
 
 
 def check_rate_ambiguity(omega: float, y_true: float, dt: float):

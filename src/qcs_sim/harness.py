@@ -17,8 +17,8 @@ results.csv: one plot-ready row per grid point.
 a summary reads its columns as one array, results.csv writes each table through
 its layout's cached template, and the manifest counts each table's trials.
 
-Files are written only after every trial of a run has succeeded: a run that
-fails, say on a config its protocol rejects, creates no output directory.
+Nothing is written until every trial has succeeded and both JSON files are
+serialized as strict JSON, so a run that fails creates no output directory.
 """
 from __future__ import annotations
 
@@ -113,7 +113,7 @@ def _require_matched_models(cfg: ScenarioConfig):
     implied_jitter = cfg.transport.sigma_common / omega
     if not (math.isclose(cfg.trip.alpha, cfg.transport.alpha, rel_tol=MATCHED_MODEL_RTOL)
             and math.isclose(cfg.trip.jitter, implied_jitter, rel_tol=MATCHED_MODEL_RTOL)):
-        raise ValueError(
+        raise ConfigError(
             "compare requires matched models: trip.alpha == transport.alpha "
             "and trip.jitter == transport.sigma_common/omega; got "
             f"trip=({cfg.trip.alpha}, {cfg.trip.jitter}) vs "
@@ -129,7 +129,7 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
     if name != "compare":
         results = run_trials(Protocol(name), cfg)
         return [results], summarize_trials(results)
-    require_count("compare", "configured species", len(cfg.species), 1)
+    require_count("species", "compare", "configured species", len(cfg.species), 1)
     _require_matched_models(cfg)
     qcs = run_trials(Protocol.QCS_BASIC, cfg)
     esct = run_trials(Protocol.ESCT_BASELINE, cfg, lane=LANE_BASELINE)
@@ -160,10 +160,8 @@ def compare_equivalence(cfg: ScenarioConfig) -> dict:
     return _run("compare", cfg)[1]
 
 
-def _write_json(path, payload):
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _write_json(path, text: str):
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # -- sweep parameter plumbing ------------------------------------------------
@@ -260,8 +258,7 @@ def run_experiment(
         rows = run_sweep(protocol, run_cfg, sweep_param, sweep["values"])
         summary = {"protocol": protocol, "param": sweep_param, "points": rows}
         table, trial_counts = "sweep", {protocol: run_cfg.trials}
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep.csv", list(rows[0]), [rows], lambda _, row: ",".join(
+        write_table = lambda path: _write_csv(path, list(rows[0]), [rows], lambda _, row: ",".join(
             "" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
             for v in row.values()))
     else:
@@ -274,12 +271,19 @@ def run_experiment(
         summary = {"subcommand": subcommand, "seed": run_cfg.seed, **summary}
         table, sweep = "results", None
         trial_counts = {t[0].protocol.value: len(t) for t in tables}
-        out.mkdir(parents=True, exist_ok=True)
-        write_results_csv(out / "results.csv", tables)
-    _write_json(out / "summary.json", summary)
+        write_table = lambda path: write_results_csv(path, tables)
     outputs = {table: f"{table}.csv", "summary": "summary.json"}
-    _write_json(out / "manifest.json", {
+    manifest = {
         "subcommand": subcommand, "config_sha256": cfg.sha256, "seed": run_cfg.seed,
         "trials": trial_counts, "outputs": outputs, "artifact_version": ARTIFACT_VERSION,
-        "rng_algorithm": RNG_ALGORITHM, "sweep": sweep})
+        "rng_algorithm": RNG_ALGORITHM, "sweep": sweep}
+    try:  # strict JSON, serialized before the directory exists
+        summary_json, manifest_json = (json.dumps(d, sort_keys=True, indent=2, allow_nan=False)
+                                       + "\n" for d in (summary, manifest))
+    except ValueError as exc:  # numpy's overflow left an inf or nan statistic
+        raise ValueError(f"summary.json: {exc}; nothing was written") from None
+    out.mkdir(parents=True, exist_ok=True)
+    write_table(out / outputs[table])
+    _write_json(out / "summary.json", summary_json)
+    _write_json(out / "manifest.json", manifest_json)
     return summary

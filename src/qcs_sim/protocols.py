@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 from .clocks import esct_transfer, trigger_time
 from .config import ScenarioConfig
+from .errors import ConfigError
 from .estimation import check_rate_ambiguity, estimate_phase, estimate_rate, wrap_pi
 from .quantum import canonicalize, evolve, imprint_phase, prob_pos
 from .rng import trial_streams
@@ -58,10 +59,10 @@ from .transport import apply_transport  # noqa: F401
 _COUNT_WORDS = {1: "one", 2: "two"}
 
 
-def require_count(label: str, what: str, got: int, want: int | None):
-    """Raise ValueError unless `got` equals `want` (None accepts any count)."""
+def require_count(field: str, label: str, what: str, got: int, want: int | None):
+    """Raise a ConfigError naming `field` unless `got` equals `want` (None accepts any count)."""
     if want is not None and got != want:
-        raise ValueError(f"{label} requires exactly {_COUNT_WORDS[want]} {what}")
+        raise ConfigError(f"{field}: {label} requires exactly {_COUNT_WORDS[want]} {what}")
 
 
 class Protocol(str, Enum):
@@ -93,12 +94,14 @@ class Protocol(str, Enum):
 
     def validate(self, cfg: ScenarioConfig):
         """Reject a config this protocol cannot run; once per run, before any trial."""
-        require_count(self.value, "configured species", len(cfg.species), self.n_species)
-        require_count(self.value, "measurement epochs", len(cfg.epochs.b_measure), self.n_epochs)
+        require_count("species", self.value, "configured species", len(cfg.species),
+                      self.n_species)
+        require_count("epochs.b_measure", self.value, "measurement epochs",
+                      len(cfg.epochs.b_measure), self.n_epochs)
         if self is Protocol.QCS_BEAT:
             omega1, omega2 = cfg.species.values()
             if omega1 == omega2:
-                raise ValueError("beat requires omega1 != omega2 (beat undefined)")
+                raise ConfigError("species: beat requires omega1 != omega2 (beat undefined)")
         elif self is Protocol.QCS_SYNTONIZE:
             (omega,) = cfg.species.values()
             t1, t2 = cfg.epochs.b_measure
@@ -337,10 +340,10 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng) -> TrialResult:
         kept_h = kept[h] if kept else _kept(cfg, n_pairs, rng)
         estimates.append(_read_out(cfg, species, omega, kept_h, theta0, tau, rng))
     e1, e2 = estimates
-    rate = estimate_rate(e1, t1, e2, t2, omega)
+    y_hat, sigma_y = estimate_rate(e1, t1, e2, t2, omega)
     return _layout(Protocol.QCS_SYNTONIZE, species).row((
-        cfg.clock_b.y, phi_common, rate.y_hat, rate.y_hat - cfg.clock_b.y,
-        e1.theta_hat, e1.sigma_theta, e2.theta_hat, e2.sigma_theta, rate.sigma_y))
+        cfg.clock_b.y, phi_common, y_hat, y_hat - cfg.clock_b.y,
+        e1.theta_hat, e1.sigma_theta, e2.theta_hat, e2.sigma_theta, sigma_y))
 
 
 def run_esct(cfg: ScenarioConfig, rng) -> TrialResult:

@@ -255,6 +255,20 @@ def test_outputs_match_golden_bytes(case, tmp_path):
     assert got == {k: v for k, v in recorded.items() if k.startswith(f"{case}/")}
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@pytest.mark.parametrize("case", sorted(_cases()))
+def test_json_outputs_are_strict_json(case, tmp_path):
+    # unlike the hashes these do not depend on the numpy version, so they never skip
+    kwargs, cfg = _cases()[case]
+    kwargs = dict(kwargs)
+    run_experiment(kwargs.pop("subcommand"), cfg, tmp_path, **kwargs)
+    for name in ("summary.json", "manifest.json"):
+        json.loads((tmp_path / name).read_text(encoding="utf-8"), parse_constant=_reject)
+
+
 #: results.csv headers of five of the cases above. Unlike the hashes they do
 #: not depend on the numpy version, so they never skip.
 _QCS_COLUMNS = ["truth_phi_common_cs", "truth_rate_offset", "truth_time_offset",

@@ -7,6 +7,7 @@ import pytest
 
 from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
                      compare_equivalence, harness, run_experiment, run_trials)
+from qcs_sim.errors import DegenerateCountsError
 from qcs_sim.cli import _parse_values, main
 from qcs_sim.harness import apply_sweep_value, summarize_trials, write_results_csv
 from qcs_sim.protocols import Layout
@@ -338,6 +339,54 @@ def test_compare_rejects_a_species_dependent_transport_phase(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "transport.beta_by_species.cs" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("subcommand,cfg,message", [
+    ("qcs", two_species(ensemble_size=5000), "species: qcs requires exactly one configured species"),
+    ("compare", two_species(ensemble_size=5000),
+     "species: compare requires exactly one configured species"),
+    ("syntonize", one_species(ensemble_size=5000),
+     "epochs.b_measure: syntonize requires exactly two measurement epochs"),
+    ("beat", two_species(ensemble_size=5000, species={"cs": OMEGA_CS, "rb": OMEGA_CS}),
+     "species: beat requires omega1 != omega2 (beat undefined)"),
+    ("compare", one_species(ensemble_size=5000, transport={"alpha": 1e-9,
+                                                           "beta_by_species": {"cs": 0.0}}),
+     "compare requires matched models: trip.alpha == transport.alpha and trip.jitter == "),
+])
+def test_a_config_its_protocol_cannot_run_is_a_config_error_naming_the_field(
+        tmp_path, subcommand, cfg, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}") as exc:
+        run_experiment(subcommand, cfg, tmp_path / "x", trials=2)
+    assert type(exc.value) is ConfigError
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_statistic_beyond_float_range_fails_the_run_and_writes_nothing(tmp_path, capsys):
+    # the errors are finite, but the sum of their squares overflows to inf
+    cfg = one_species(ensemble_size=5000, trip={"duration": 10.0, "alpha": 0.0, "jitter": 1e308})
+    with (pytest.warns(RuntimeWarning, match="overflow"),
+          pytest.raises(ValueError, match="^summary.json: Out of range float values")):
+        run_experiment("esct", cfg, tmp_path / "x", seed=1, trials=5)
+    assert not (tmp_path / "x").exists()
+    path = write_config(tmp_path, cfg)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["esct", "--config", str(path), "--out", str(tmp_path / "x"),
+                     "--seed", "1", "--trials", "5"]) == 2
+    assert "summary.json" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_run_that_fails_mid_way_writes_nothing(tmp_path, capsys):
+    # a shuffled list leaves one of these trials with counts at the circle center
+    cfg = one_species(ensemble_size=1000, shuffle_type_list=True)
+    with pytest.raises(DegenerateCountsError):
+        run_experiment("qcs", cfg, tmp_path / "x", seed=21, trials=3000)
+    assert not (tmp_path / "x").exists()
+    path = write_config(tmp_path, cfg)
+    assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "x"),
+                 "--seed", "21", "--trials", "3000"]) == 3
+    assert "DegenerateCountsError" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
