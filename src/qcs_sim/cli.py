@@ -94,7 +94,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if "ratio" in summary and summary.get("ratio") is not None:

@@ -39,6 +39,12 @@ _SPECIES_ID = re.compile(r"[A-Za-z0-9_]+")
 #: P(Bin(N, 1/2) < 200): 0.48 at N = 400, 5.2e-10 at N = 540.
 MIN_ENSEMBLE_PER_EPOCH = 540
 
+#: Largest magnitude of a config number; 1/MAX_MAGNITUDE is the least omega and
+#: syntonize advance. No trial checks finiteness: with 1/(1 + y) <= 9e15,
+#: |tau| <~ 3e117 * (1 + |z|) for a normal draw z, so omega * tau <~ 3e217 * (1 + |z|),
+#: and squares summed over 10**9 trials stay below 1e245.
+MAX_MAGNITUDE = 1e100
+
 #: numpy's hypergeometric samplers, which a shuffled type list needs, take
 #: fewer than 1e9 items.
 MAX_SHUFFLED_ENSEMBLE = 10**9
@@ -160,6 +166,8 @@ class ScenarioConfig:
         for sp, omega in self.species.items():
             if omega <= 0.0:
                 raise ConfigError(f"species.{sp} must be > 0, got {omega}")
+            if omega < 1.0 / MAX_MAGNITUDE:
+                raise ConfigError(f"species.{sp} must be >= {1.0 / MAX_MAGNITUDE:g}")
             if not _SPECIES_ID.fullmatch(sp):
                 raise ConfigError(
                     f"species id {sp!r} must match [A-Za-z0-9_]+ (it names CSV columns)"
@@ -175,6 +183,8 @@ class ScenarioConfig:
                 f"ensemble_size must be < {MAX_SHUFFLED_ENSEMBLE} with "
                 f"shuffle_type_list, got {self.ensemble_size}"
             )
+        if self.ensemble_size > MAX_MAGNITUDE:  # a noiseless run counts in floats
+            raise ConfigError(f"ensemble_size must be at most {MAX_MAGNITUDE:g}")
         if not self.noiseless and self.ensemble_size >= 2**63:  # numpy's Binomial takes a C long
             raise ConfigError(
                 f"ensemble_size must be < 2**63 unless noiseless, got {self.ensemble_size}")
@@ -192,20 +202,16 @@ class ScenarioConfig:
                 if sp not in self.species:
                     raise ConfigError(f"{where}.{sp} names no configured species")
         if self.noiseless:
-            noisy = []
-            if self.transport.sigma_common > 0 or self.transport.sigma_pair > 0:
-                noisy.append("transport jitter")
-            if self.clock_a.sigma_read > 0 or self.clock_b.sigma_read > 0:
-                noisy.append("clock read noise")
-            if self.trip.jitter > 0:
-                noisy.append("trip jitter")
-            if self.shuffle_type_list:
-                noisy.append("shuffle_type_list")
+            noisy = [name for name, value in (
+                ("transport.sigma_common", self.transport.sigma_common),
+                ("transport.sigma_pair", self.transport.sigma_pair),
+                ("clock_a.sigma_read", self.clock_a.sigma_read),
+                ("clock_b.sigma_read", self.clock_b.sigma_read),
+                ("trip.jitter", self.trip.jitter),
+                ("shuffle_type_list", self.shuffle_type_list)) if value]
             if noisy:
-                raise ConfigError(
-                    "noiseless mode requires zero noise parameters; offending: "
-                    + ", ".join(noisy)
-                )
+                raise ConfigError("noiseless mode requires zero noise parameters; offending: "
+                                  + ", ".join(noisy))
 
     def with_run(self, seed=None, trials=None) -> "ScenarioConfig":
         """A copy with a run's overrides (None keeps the stored value), checked like the fields."""
@@ -273,6 +279,8 @@ def _value(tp, value, where: str):
             number = math.inf
         if not math.isfinite(number):
             raise ConfigError(f"{where} must be finite")
+        if abs(number) > MAX_MAGNITUDE:
+            raise ConfigError(f"{where} must be at most {MAX_MAGNITUDE:g} in magnitude")
         if isinstance(value, numbers.Integral) and number != int(value):
             raise ConfigError(f"{where} is an integer that no float holds exactly, got {value!r}")
         return number

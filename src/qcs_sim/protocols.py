@@ -42,8 +42,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .clocks import esct_transfer, trigger_time
-from .config import ScenarioConfig
-from .errors import ConfigError
+from .config import MAX_MAGNITUDE, ScenarioConfig
+from .errors import ConfigError, DegenerateCountsError, InsufficientSamplesError
 from .estimation import check_rate_ambiguity, estimate_phase, estimate_rate, wrap_pi
 from .quantum import canonicalize, evolve, imprint_phase, prob_pos
 from .rng import trial_streams
@@ -105,7 +105,11 @@ class Protocol(str, Enum):
         elif self is Protocol.QCS_SYNTONIZE:
             (omega,) = cfg.species.values()
             t1, t2 = cfg.epochs.b_measure
-            check_rate_ambiguity(omega, cfg.clock_b.y, t2 - t1)
+            dt = t2 - t1
+            if omega * dt < 1.0 / MAX_MAGNITUDE:  # estimate_rate divides by it
+                raise ConfigError(f"epochs.b_measure: syntonize requires omega * (t2 - t1) "
+                                  f">= {1.0 / MAX_MAGNITUDE:g}, got {omega * dt}")
+            check_rate_ambiguity(omega, cfg.clock_b.y, dt)
 
 
 class Layout:
@@ -365,7 +369,14 @@ def run_trials(protocol: Protocol, cfg: ScenarioConfig, lane: int = 0) -> list[T
 
     Trial i is the runner on stream i, `runner(cfg, trial_stream(cfg.seed, i, lane))`,
     and sits at position i, so a parallel driver would merge to the same table.
+    A trial left without an estimate re-raises its error, prefixed with what replays it.
     """
     protocol.validate(cfg)
     runner = _RUNNERS[protocol]
-    return [runner(cfg, rng) for rng in trial_streams(cfg.seed, cfg.trials, lane)]
+    results = []
+    try:
+        for rng in trial_streams(cfg.seed, cfg.trials, lane):
+            results.append(runner(cfg, rng))
+    except (DegenerateCountsError, InsufficientSamplesError) as exc:
+        raise type(exc)(f"trial {len(results)} (seed {cfg.seed}, lane {lane}): {exc}") from None
+    return results

@@ -91,20 +91,15 @@ class CollapseOutcome:
 def evolve(theta: float, omega: float, tau) -> float:
     """Free precession for tau seconds: theta -> theta - omega*tau (mod 2*pi).
 
-    tau may be negative (rewinding is legitimate for analysis); it must be
-    finite. Evolution is additive in tau and the identity at tau = 0.
+    tau may be negative (rewinding is legitimate for analysis); the config's
+    magnitude rule keeps omega*tau finite. Additive in tau, identity at tau = 0.
     """
-    tau = float(tau)
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
-    return _angle(theta - omega * tau)
+    return canonicalize(theta - omega * tau)
 
 
 def imprint_phase(theta: float, phi: float) -> float:
-    """Add a classical phase shift phi to the state phase theta."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    return _angle(theta + phi)
+    """Add a classical phase shift phi to the state phase theta (unchecked, as in `evolve`)."""
+    return canonicalize(theta + phi)
 
 
 def prob_pos(theta: float, delta: float) -> float:

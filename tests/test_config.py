@@ -8,7 +8,7 @@ import pytest
 
 from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
                      load_config, run_trials)
-from qcs_sim.config import MIN_ENSEMBLE_PER_EPOCH
+from qcs_sim.config import MAX_MAGNITUDE, MIN_ENSEMBLE_PER_EPOCH
 from qcs_sim.harness import apply_sweep_value
 from qcs_sim.quantum import canonicalize
 
@@ -133,6 +133,24 @@ def test_missing_species_is_named():
     pytest.param("epochs.b_measure", [0.25, 2**53 + 1],
                  "epochs.b_measure[1] is an integer that no float holds exactly",
                  id="b_measure-2**53+1"),
+    # the magnitude rule: every number at most 1e100, and omega at least 1e-100
+    pytest.param("clock_b.x0", 1e308, "clock_b.x0 must be at most 1e+100 in magnitude",
+                 id="x0-1e308"),
+    pytest.param("transport.alpha", -1e300, "transport.alpha must be at most 1e+100 in magnitude",
+                 id="alpha--1e300"),
+    pytest.param("trip.jitter", 1e308, "trip.jitter must be at most 1e+100 in magnitude",
+                 id="jitter-1e308"),
+    pytest.param("clock_b.sigma_read", 1e300,
+                 "clock_b.sigma_read must be at most 1e+100 in magnitude", id="sigma_read-1e300"),
+    pytest.param("species.cs", 1e300, "species.cs must be at most 1e+100 in magnitude",
+                 id="omega-1e300"),
+    pytest.param("species.cs", 1e-101, "species.cs must be >= 1e-100", id="omega-1e-101"),
+    pytest.param("species.cs", 5e-324, "species.cs must be >= 1e-100", id="omega-5e-324"),
+    pytest.param("epochs.b_measure", [0.25, 1e300],
+                 "epochs.b_measure[1] must be at most 1e+100 in magnitude", id="b_measure-1e300"),
+    pytest.param("transport.beta_by_species.cs", 2**400,
+                 "transport.beta_by_species.cs must be at most 1e+100 in magnitude",
+                 id="beta-2**400"),
 ])
 def test_model_errors_name_the_dotted_path(path, value, message):
     doc = full_doc()
@@ -144,6 +162,29 @@ def test_model_errors_name_the_dotted_path(path, value, message):
     with pytest.raises(ConfigError) as exc:
         ScenarioConfig.from_dict(doc)
     assert str(exc.value).startswith(message)
+
+
+def test_the_magnitude_rule_keeps_its_edges():
+    edge, beyond = MAX_MAGNITUDE, math.nextafter(MAX_MAGNITUDE, math.inf)
+    doc = full_doc(clock_b={"x0": -edge, "y": edge, "sigma_read": edge,
+                            "delta_by_species": {"cs": edge}},
+                   species={"cs": 1.0 / MAX_MAGNITUDE})
+    cfg = ScenarioConfig.from_dict(doc)
+    assert (cfg.clock_b.x0, cfg.species["cs"]) == (-1e100, 1e-100)
+    doc["species"]["cs"] = math.nextafter(1.0 / MAX_MAGNITUDE, 0.0)
+    with pytest.raises(ConfigError, match=r"^species\.cs must be >= 1e-100$"):
+        ScenarioConfig.from_dict(doc)
+    # a noiseless run counts pairs in floats, so its ensemble obeys the rule too
+    noiseless = dict(MINIMAL, noiseless=True, ensemble_size=10**100)
+    assert ScenarioConfig.from_dict(noiseless).ensemble_size == 10**100
+    with pytest.raises(ConfigError, match=r"^ensemble_size must be at most 1e\+100$"):
+        ScenarioConfig.from_dict(dict(noiseless, ensemble_size=2 * 10**100))
+    # a built model, a sweep point and a run override go through the same field pass
+    with pytest.raises(ConfigError, match=r"^x0 must be at most 1e\+100 in magnitude$"):
+        ClockModel(x0=-beyond)
+    with pytest.raises(ConfigError, match=r"^clock_b\.x0 must be at most 1e\+100 in magnitude$"):
+        apply_sweep_value(cfg, "clock_b.x0", beyond)
+    assert cfg.with_run(seed=1, trials=2).clock_b.x0 == -edge
 
 
 def test_nonpositive_omega_rejected():
@@ -218,8 +259,26 @@ def test_species_id_charset():
 
 
 def test_noiseless_requires_zero_noise():
+    # full_doc has common-mode transport jitter and trip jitter; both are named, in order
     doc = full_doc(noiseless=True)
-    with pytest.raises(ConfigError, match="noiseless"):
+    with pytest.raises(ConfigError, match="^noiseless mode requires zero noise parameters; "
+                                          "offending: transport.sigma_common, trip.jitter$"):
+        ScenarioConfig.from_dict(doc)
+
+
+NOISE_SOURCES = ("transport.sigma_common", "transport.sigma_pair", "clock_a.sigma_read",
+                 "clock_b.sigma_read", "trip.jitter", "shuffle_type_list")
+
+
+@pytest.mark.parametrize("source", NOISE_SOURCES)
+def test_noiseless_names_exactly_the_one_noise_source_it_rejects(source):
+    doc = full_doc(noiseless=True, transport={"alpha": 1e-9, "beta_by_species": {"cs": 0.05}},
+                   trip={"duration": 100.0, "alpha": 1e-9})
+    ScenarioConfig.from_dict(doc)  # every noise source at zero
+    *section, leaf = source.split(".")
+    (doc[section[0]] if section else doc)[leaf] = True if leaf == "shuffle_type_list" else 0.5
+    message = f"noiseless mode requires zero noise parameters; offending: {source}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         ScenarioConfig.from_dict(doc)
 
 

@@ -1,7 +1,9 @@
 """Property tests of the scenario reader and writer.
 
 Valid documents are drawn with optional sections and fields left out, so
-the dataclass defaults are exercised as well as the values.
+the dataclass defaults are exercised as well as the values. Every number is
+drawn within the magnitude rule: at most MAX_MAGNITUDE, and an omega of at
+least 1/MAX_MAGNITUDE.
 """
 import json
 import math
@@ -10,16 +12,18 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from qcs_sim import ConfigError, ScenarioConfig
-from qcs_sim.config import MIN_ENSEMBLE_PER_EPOCH
+from qcs_sim.config import MAX_MAGNITUDE, MIN_ENSEMBLE_PER_EPOCH
 
 #: Deterministic, and without the explain phase, which takes minutes on a failure.
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None, database=None,
                     phases=(Phase.explicit, Phase.generate, Phase.shrink))
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
-POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-RATE = st.floats(min_value=-1.0, exclude_min=True, allow_infinity=False)
+FINITE = st.floats(min_value=-MAX_MAGNITUDE, max_value=MAX_MAGNITUDE)
+NONNEGATIVE = st.floats(min_value=0.0, max_value=MAX_MAGNITUDE)
+POSITIVE = st.floats(min_value=1.0 / MAX_MAGNITUDE, max_value=MAX_MAGNITUDE)
+RATE = st.floats(min_value=-1.0, exclude_min=True, max_value=MAX_MAGNITUDE)
+#: the float just beyond the magnitude rule, which every float field rejects
+TOO_LARGE = math.nextafter(MAX_MAGNITUDE, math.inf)
 SPECIES_IDS = st.lists(st.text("abcXYZ019_", min_size=1, max_size=4),
                        min_size=1, max_size=3, unique=True)
 
@@ -98,6 +102,8 @@ def _malformed(path, value):
     bad = ["x", math.nan, math.inf, -math.inf]
     if _field(path) in MINUS_ONE_INVALID:
         bad.append(-1)
+    if isinstance(value, float):
+        bad.append(TOO_LARGE if value >= 0 else -TOO_LARGE)
     return bad
 
 

@@ -9,6 +9,7 @@ from qcs_sim import (
     InsufficientSamplesError,
 )
 from qcs_sim.estimation import (
+    MIN_SAMPLES,
     PhaseEstimate,
     check_rate_ambiguity,
     estimate_phase,
@@ -50,23 +51,6 @@ def test_wrap_pi_range_and_edges():
     rng = np.random.default_rng(2)
     for x in rng.uniform(-100, 100, 5000).tolist():
         assert -math.pi < wrap_pi(x) <= math.pi
-
-
-# -- record validation -------------------------------------------------------------
-
-
-def test_record_validation():
-    # each bad (n, k_pos) is rejected in either quadrature, before the
-    # sample-size check could reject n = 10 for another reason
-    good = (1000, 500)
-    for (n, k_pos), message in (((0, 0), "n must be >= 1"), ((10, 11), "k_pos must be in"),
-                                ((10, -1), "k_pos must be in"), ((math.nan, 0), "n must be >= 1"),
-                                ((math.inf, 0), "n must be >= 1"),
-                                ((10, math.nan), "k_pos must be in")):
-        with pytest.raises(ValueError, match=message):
-            estimate_phase(n, k_pos, *good, 0.0)
-        with pytest.raises(ValueError, match=message):
-            estimate_phase(*good, n, k_pos, 0.0)
 
 
 # -- phase estimation ----------------------------------------------------------------
@@ -138,17 +122,21 @@ def test_sigma_positive_even_at_count_extremes():
     assert estimate_phase(*counts).sigma_theta > 0.0
 
 
-def test_non_finite_basis_phase_is_not_in_quadrature():
-    # float basis phases arrive unchecked, so a NaN or inf must not reach atan2
-    for delta0 in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="delta0 must be finite"):
-            estimate_phase(1000, 500, 1000, 400, delta0)
-
-
 def test_insufficient_samples():
     counts = quadrature_records(0.2, 0.0, 99, 1000)
     with pytest.raises(InsufficientSamplesError):
         estimate_phase(*counts)
+
+
+def test_exactly_min_samples_per_quadrature_estimates():
+    # MIN_SAMPLES is the only small-sample guard: 100 pairs in each quadrature
+    # estimate, one fewer in either does not
+    assert MIN_SAMPLES == 100
+    est = estimate_phase(*quadrature_records(0.2, 0.0, 100, 100))
+    assert abs(circular_diff(est.theta_hat, 0.2)) < 1e-12
+    for n0, n1 in ((99, 100), (100, 99)):
+        with pytest.raises(InsufficientSamplesError, match=f"got {n0} and {n1}$"):
+            estimate_phase(*quadrature_records(0.2, 0.0, n0, n1))
 
 
 def test_degenerate_counts_raise():
@@ -213,3 +201,22 @@ def test_ambiguity_guard():
     check_rate_ambiguity(TWO_PI * 1e6, 1e-12, 1.0)  # comfortably inside
     with pytest.raises(AmbiguityError):
         check_rate_ambiguity(TWO_PI * 1e6, 1e-6, 1.0)  # ~6.3 rad of walk
+
+
+@pytest.mark.parametrize("dt", [0.25, 4.0])
+@pytest.mark.parametrize("y", [0.5, -0.5])
+def test_ambiguity_guard_at_the_pi_edge(dt, y):
+    # the walk is omega * dt * |y / (1 + y)|: dt != 1 tells omega * dt from omega / dt,
+    # and y / (1 + y) is 1/3 at y = 0.5 and -1 at y = -0.5, neither of them y
+    edge = math.pi / (dt * abs(y / (1.0 + y)))
+    check_rate_ambiguity(edge * (1 - 1e-9), y, dt)
+    with pytest.raises(AmbiguityError, match=r"^clock_b\.y: configured rate offset is ambiguous"):
+        check_rate_ambiguity(edge * (1 + 1e-9), y, dt)
+
+
+def test_ambiguity_guard_rejects_a_walk_of_exactly_pi():
+    # omega * dt = 2*pi and y / (1 + y) = 1/2 are exact in binary, so the walk is pi to the bit
+    omega, y, dt = 8.0 * math.pi, 1.0, 0.25
+    assert omega * dt * abs(y / (1.0 + y)) == math.pi
+    with pytest.raises(AmbiguityError, match="= 3.142 rad >= pi$"):
+        check_rate_ambiguity(omega, y, dt)

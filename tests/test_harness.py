@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
-                     compare_equivalence, harness, run_experiment, run_trials)
+                     compare_equivalence, harness, run_experiment, run_qcs_basic, run_trials,
+                     trial_stream)
 from qcs_sim.errors import DegenerateCountsError
 from qcs_sim.cli import _parse_values, main
 from qcs_sim.harness import apply_sweep_value, summarize_trials, write_results_csv
@@ -362,31 +363,55 @@ def test_a_config_its_protocol_cannot_run_is_a_config_error_naming_the_field(
     assert not (tmp_path / "x").exists()
 
 
-def test_a_statistic_beyond_float_range_fails_the_run_and_writes_nothing(tmp_path, capsys):
-    # the errors are finite, but the sum of their squares overflows to inf
-    cfg = one_species(ensemble_size=5000, trip={"duration": 10.0, "alpha": 0.0, "jitter": 1e308})
-    with (pytest.warns(RuntimeWarning, match="overflow"),
-          pytest.raises(ValueError, match="^summary.json: Out of range float values")):
+def test_a_statistic_beyond_float_range_fails_the_run_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # the magnitude rule keeps every statistic finite, so one is planted: strict
+    # JSON is the backstop that keeps it out of summary.json
+    stats = harness._stats
+    monkeypatch.setattr(harness, "_stats", lambda x: [dict(s, rms=math.inf) for s in stats(x)])
+    cfg = one_species(ensemble_size=5000, trip={"duration": 10.0, "alpha": 0.0, "jitter": 1e-9})
+    with pytest.raises(ValueError, match="^summary.json: Out of range float values"):
         run_experiment("esct", cfg, tmp_path / "x", seed=1, trials=5)
     assert not (tmp_path / "x").exists()
     path = write_config(tmp_path, cfg)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["esct", "--config", str(path), "--out", str(tmp_path / "x"),
-                     "--seed", "1", "--trials", "5"]) == 2
+    assert main(["esct", "--config", str(path), "--out", str(tmp_path / "x"),
+                 "--seed", "1", "--trials", "5"]) == 2
     assert "summary.json" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_jitter_whose_statistics_would_overflow_is_rejected_at_the_config(tmp_path, capsys):
+    # the RMS of esct errors at trip.jitter = 1e308 would overflow to inf
+    message = "trip.jitter must be at most 1e+100 in magnitude"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        one_species(ensemble_size=5000, trip={"duration": 10.0, "alpha": 0.0, "jitter": 1e308})
+    doc = one_species(ensemble_size=5000).to_dict()
+    doc["trip"]["jitter"] = 1e308
+    path = tmp_path / "jitter.json"
+    path.write_text(json.dumps(doc))
+    assert main(["esct", "--config", str(path), "--out", str(tmp_path / "x"),
+                 "--seed", "1", "--trials", "5"]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
 def test_a_run_that_fails_mid_way_writes_nothing(tmp_path, capsys):
     # a shuffled list leaves one of these trials with counts at the circle center
     cfg = one_species(ensemble_size=1000, shuffle_type_list=True)
-    with pytest.raises(DegenerateCountsError):
+    with pytest.raises(DegenerateCountsError, match=r"^trial (\d+) \(seed 21, lane 0\): ") as exc:
         run_experiment("qcs", cfg, tmp_path / "x", seed=21, trials=3000)
     assert not (tmp_path / "x").exists()
+    # the message names the trial, and that trial alone raises the same error
+    trial = int(re.match(r"trial (\d+)", str(exc.value)).group(1))
+    with pytest.raises(DegenerateCountsError) as alone:
+        run_qcs_basic(cfg.with_run(seed=21), trial_stream(21, trial, 0))
+    assert str(exc.value).endswith(f": {alone.value}")
+    run_trials(Protocol.QCS_BASIC, cfg.with_run(seed=21, trials=trial))  # the trials before it run
     path = write_config(tmp_path, cfg)
     assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "x"),
                  "--seed", "21", "--trials", "3000"]) == 3
-    assert "DegenerateCountsError" in capsys.readouterr().err
+    assert (f"runtime error: DegenerateCountsError: trial {trial} (seed 21, lane 0): "
+            in capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
 
 

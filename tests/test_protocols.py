@@ -7,11 +7,13 @@ from scipy import stats
 
 from qcs_sim import (
     AmbiguityError,
+    ConfigError,
     compare_equivalence,
     run_esct,
     run_qcs_basic,
     run_qcs_beat,
     run_qcs_syntonize,
+    run_experiment,
     run_trials,
     trial_stream,
 )
@@ -96,6 +98,38 @@ def test_error_map_is_estimate_minus_truth():
             assert value == r.estimate[key] - r.truth[key]
         assert set(r.error) == set(r.estimate) & set(r.truth)
         assert r.error[r.protocol.error_key] != 0.0
+
+
+def _linear_clocks(y_a, y_b, a_start, epoch):
+    """A noiseless qcs config with x0 and y on both clocks and the given epochs."""
+    return one_species(
+        ensemble_size=10_000, noiseless=True,
+        clock_a={"x0": 2e-8, "y": y_a, "delta_by_species": {"cs": 0.0}},
+        clock_b={"x0": -5e-8, "y": y_b, "delta_by_species": {"cs": 0.0}},
+        epochs={"a_start": a_start, "b_measure": [epoch]})
+
+
+def test_truth_time_offset_is_true_minus_nominal_elapsed_at_a_nonzero_a_start():
+    # README's truth bookkeeping: true time zero is A's collapse, when A's clock
+    # reads a_start; B reads out when his reads the epoch; each clock displays
+    # x0 + (1 + y) * t, and the truth is true elapsed minus nominal elapsed
+    a_start, epoch = 0.1, 0.35
+    cfg = _linear_clocks(3e-9, -4e-9, a_start, epoch)
+    r = run_qcs_basic(cfg, trial_stream(0, 0))
+    elapsed = (epoch + 5e-8) / (1 - 4e-9) - (a_start - 2e-8) / (1 + 3e-9)
+    assert r.truth["time_offset"] == pytest.approx(elapsed - (epoch - a_start), rel=1e-9)
+    assert abs(r.error["time_offset"]) < 1e-15
+
+
+@pytest.mark.parametrize("shift", [0.5, 4.0])
+def test_shifting_a_start_and_the_epoch_together_moves_no_column(shift):
+    # on one common rate, the true elapsed time depends on the readings'
+    # difference alone; the columns agree to the rounding of omega * shift
+    base = run_qcs_basic(_linear_clocks(3e-9, 3e-9, 0.1, 0.35), trial_stream(0, 0))
+    moved = run_qcs_basic(_linear_clocks(3e-9, 3e-9, 0.1 + shift, 0.35 + shift),
+                          trial_stream(0, 0))
+    assert moved.layout is base.layout
+    np.testing.assert_allclose(moved.values, base.values, rtol=1e-7, atol=1e-15)
 
 
 def test_same_seed_same_config_is_deterministic():
@@ -380,6 +414,36 @@ def test_syntonize_epoch_and_ambiguity_guards():
     cfg = syntonize(y=1e-6, rad_advance=0.5, epochs={"a_start": 0.0, "b_measure": [1.0, 2.0]})
     with pytest.raises(AmbiguityError):
         run_trials(Protocol.QCS_SYNTONIZE, cfg.with_run(seed=0, trials=1))
+
+
+def test_syntonize_guard_reads_the_epoch_difference_when_t1_is_not_zero():
+    # epochs 1 s and 1.25 s: the walk uses t2 - t1 = 0.25 s, not t2 + t1 = 2.25 s,
+    # and y = 0.5, where y / (1 + y) = 1/3 differs from y
+    y, t1, t2 = 0.5, 1.0, 1.25
+    edge = math.pi / ((t2 - t1) * y / (1.0 + y))
+
+    def cfg(omega):
+        return syntonize(y=y, ensemble_size=8000, species={"cs": omega},
+                         epochs={"a_start": 0.0, "b_measure": [t1, t2]})
+
+    Protocol.QCS_SYNTONIZE.validate(cfg(edge * (1 - 1e-9)))
+    with pytest.raises(AmbiguityError, match=r"^clock_b\.y: configured rate offset is ambiguous"):
+        Protocol.QCS_SYNTONIZE.validate(cfg(edge * (1 + 1e-9)))
+
+
+def test_syntonize_advance_below_the_floor_is_a_config_error_naming_the_epochs(tmp_path):
+    # omega * (t2 - t1) underflows to 0 here, and estimate_rate divides by it
+    cfg = syntonize(y=0.0, ensemble_size=8000, species={"cs": 0.5},
+                    epochs={"a_start": 0.0, "b_measure": [0.0, 5e-324]})
+    with pytest.raises(ConfigError, match=r"^epochs\.b_measure: syntonize requires "
+                                          r"omega \* \(t2 - t1\) >= 1e-100, got 0.0$"):
+        run_experiment("syntonize", cfg, tmp_path / "x", trials=2)
+    assert not (tmp_path / "x").exists()
+    # an advance of exactly 1e-100 rad runs, to finite statistics
+    cfg = syntonize(y=0.0, ensemble_size=8000, species={"cs": 1e-100},
+                    epochs={"a_start": 0.0, "b_measure": [0.0, 1.0]})
+    summary = run_experiment("syntonize", cfg, tmp_path / "y", seed=1, trials=3)
+    assert all(math.isfinite(v) for v in summary["metrics"]["rate_offset"].values())
 
 
 def test_syntonize_pairwise_path_matches():
