@@ -212,6 +212,8 @@ class ScenarioConfig:
             if noisy:
                 raise ConfigError("noiseless mode requires zero noise parameters; offending: "
                                   + ", ".join(noisy))
+        if self.shuffle_type_list and self.use_type_i:
+            raise ConfigError("shuffle_type_list: a shuffled list cannot be read with use_type_i")
 
     def with_run(self, seed=None, trials=None) -> "ScenarioConfig":
         """A copy with a run's overrides (None keeps the stored value), checked like the fields."""

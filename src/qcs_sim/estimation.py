@@ -95,15 +95,15 @@ def estimate_rate(
     """Fractional rate offset of the local clock from phases at two epochs, (y_hat, sigma_y).
 
     t1 < t2 are the local clock readings at which the two phases were
-    measured, and omega is the species' angular frequency, rad/s. The phase
+    measured (a config's `Epochs` are strictly increasing, and
+    `Protocol.validate` bounds omega * (t2 - t1) from below), and omega is the
+    species' angular frequency, rad/s. The phase
     difference is unwrapped to the branch nearest the nominal advance
     -omega*(t2 - t1); any constant phase common to both epochs (transport
     phase, oscillator phase) cancels in the difference. The result is only
     unambiguous while |omega * y * (t2 - t1)| < pi, a protocol constraint
     checked by the scenario runner, which knows the configured truth.
     """
-    if not (t2 > t1):
-        raise ValueError(f"epochs must satisfy t2 > t1, got t1={t1}, t2={t2}")
     advance_nominal = omega * (t2 - t1)
     dtheta = e2.theta_hat - e1.theta_hat
     k = round((-advance_nominal - dtheta) / TWO_PI)

@@ -111,14 +111,15 @@ def _require_matched_models(cfg: ScenarioConfig):
         raise ConfigError(f"transport.beta_by_species.{species} must be 0 for compare: "
                           "a clock trip has no species-dependent phase")
     implied_jitter = cfg.transport.sigma_common / omega
-    if not (math.isclose(cfg.trip.alpha, cfg.transport.alpha, rel_tol=MATCHED_MODEL_RTOL)
-            and math.isclose(cfg.trip.jitter, implied_jitter, rel_tol=MATCHED_MODEL_RTOL)):
-        raise ConfigError(
-            "compare requires matched models: trip.alpha == transport.alpha "
-            "and trip.jitter == transport.sigma_common/omega; got "
-            f"trip=({cfg.trip.alpha}, {cfg.trip.jitter}) vs "
-            f"transport=({cfg.transport.alpha}, {implied_jitter})"
-        )
+    for name, trip, model in (("trip.alpha", cfg.trip.alpha, cfg.transport.alpha),
+                              ("trip.jitter", cfg.trip.jitter, implied_jitter)):
+        if not math.isclose(trip, model, rel_tol=MATCHED_MODEL_RTOL):
+            raise ConfigError(
+                f"{name}: compare requires matched models: trip.alpha == transport.alpha "
+                "and trip.jitter == transport.sigma_common/omega; got "
+                f"trip=({cfg.trip.alpha}, {cfg.trip.jitter}) vs "
+                f"transport=({cfg.transport.alpha}, {implied_jitter})"
+            )
 
 
 def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:

@@ -21,17 +21,17 @@ convention a transport phase phi biases t_hat by -phi/omega (an effective
 delay alpha gives bias -alpha, in basic and beat runs alike) and an
 oscillator-phase mismatch biases it by (delta_B - delta_A)/omega.
 
-Sampling: counts are drawn exactly, without simulating pairs. An honest
-list has no mislabeled pairs, so B's kept list is one count, and each basis
-reads its half with one Binomial draw. A shuffled list is a sequence of
-(good, bad) blocks: good pairs sit at the common phase, bad pairs (partners
-the shuffle mislabels) sit half a turn away, and each block is in uniformly
-random order. Basis 0 reads the first half of the list, so its good count
-is hypergeometric block by block, and each basis then yields a Binomial
-count per kind; only shuffled lists walk blocks. Independent per-pair
-transport jitter enters as the contrast factor exp(-sigma_pair**2 / 2). The
-per-pair simulation this law replaces is kept in tests/pairwise_oracle.py as
-the reference the sampler is tested against.
+Sampling: counts are drawn exactly, without simulating pairs. B's kept list
+is one (good, bad) pair of counts: good pairs sit at the common phase, bad
+pairs (partners a shuffled list mislabels) half a turn away. An honest list
+has no bad pairs, so each basis reads its half with one Binomial draw. A
+shuffled list is in uniformly random order, so the good count of basis 0,
+which reads the first half, is one hypergeometric draw, and each basis then
+yields a Binomial count per kind. Only `qcs` and `beat` read a shuffled
+list, and only without use_type_i; the config rejects the rest. Independent
+per-pair transport jitter enters as the contrast factor
+exp(-sigma_pair**2 / 2). The per-pair simulation this law replaces is kept
+in tests/pairwise_oracle.py as the reference the sampler is tested against.
 """
 from __future__ import annotations
 
@@ -103,6 +103,8 @@ class Protocol(str, Enum):
             if omega1 == omega2:
                 raise ConfigError("species: beat requires omega1 != omega2 (beat undefined)")
         elif self is Protocol.QCS_SYNTONIZE:
+            if cfg.shuffle_type_list:
+                raise ConfigError("shuffle_type_list: syntonize requires an unshuffled type list")
             (omega,) = cfg.species.values()
             t1, t2 = cfg.epochs.b_measure
             dt = t2 - t1
@@ -160,48 +162,17 @@ class TrialResult(NamedTuple):
 
 
 def _kept(cfg, n, rng):
-    """B's kept list from n pairs: (good, bad) blocks if shuffled, else a count made after
-    A's one Binomial(n, 1/2) draw: her type II outcomes, or all n with use_type_i."""
-    if cfg.shuffle_type_list:
-        return _kept_lists(cfg, (n,), rng)[0]
-    m = 0.5 * n if cfg.noiseless else int(rng.binomial(n, 0.5))
-    return n if cfg.use_type_i else m
+    """B's kept list from n pairs as (good, bad), made after A's one Binomial(n, 1/2) draw.
 
-
-def _kept_lists(cfg, sizes, rng):
-    """B's kept (good, bad) blocks for each sub-ensemble of one collapse, from a shuffled list.
-
-    A's type list covers all `sizes` pairs, so shuffling it in transit mixes
-    labels across sub-ensembles: the announced type II pairs are a uniform
-    subset of the whole ensemble, counted per (sub-ensemble, true type) cell.
-    With use_type_i the announced type I pairs follow, corrected by pi, which
-    makes A's true type I partners good and mislabeled type II partners bad.
+    An honest list keeps the partners of her m type II outcomes, or all n
+    with use_type_i, and all of them are good. A shuffled list announces a
+    uniform m-subset of the n pairs as type II: its good pairs are partners
+    of her true type II outcomes, its bad ones of mislabeled type I outcomes.
     """
-    ms = [int(rng.binomial(n, 0.5)) for n in sizes]  # A's type II outcomes
-    colors = [c for n, m in zip(sizes, ms) for c in (m, n - m)]
-    cells = rng.multivariate_hypergeometric(colors, sum(ms)).tolist()
-    announced_ii = list(zip(cells[0::2], cells[1::2]))
-    if not cfg.use_type_i:
-        return [[block] for block in announced_ii]
-    return [[(good, bad), (n - m - bad, m - good)]
-            for n, m, (good, bad) in zip(sizes, ms, announced_ii)]
-
-
-def _split_good(blocks, n0, rng):
-    """Good pairs among the first n0 entries of shuffled (good, bad) blocks, and in the rest."""
-    g0 = g1 = 0
-    for good, bad in blocks:
-        take = min(n0, good + bad)
-        # numpy draws even on a split with no choice; skipping those keeps an
-        # all-good walk draw-free, like the direct readout of an honest list
-        if good and bad and 0 < take < good + bad:
-            g = int(rng.hypergeometric(good, bad, take))
-        else:
-            g = min(good, take)
-        g0 += g
-        g1 += good - g
-        n0 -= take
-    return g0, g1
+    m = 0.5 * n if cfg.noiseless else int(rng.binomial(n, 0.5))
+    if cfg.shuffle_type_list:
+        return rng.multivariate_hypergeometric([m, n - m], m).tolist()
+    return (n if cfg.use_type_i else m), 0
 
 
 def _count_pos(good, bad, p, rng):
@@ -211,16 +182,12 @@ def _count_pos(good, bad, p, rng):
 
 
 def _measure_quadratures(cfg, theta, kept, delta0, rng):
-    """Counts (n0, k0, n1, k1) of B's `kept` list (see `_kept`) read at delta0 (first half)
-    and delta0 + pi/2; an honest count's halves are two direct Binomial draws."""
+    """Counts (n0, k0, n1, k1) of B's `kept` (good, bad) list (see `_kept`) read at delta0
+    (first half) and delta0 + pi/2; an all-good list's halves are two direct Binomial draws."""
     p0 = prob_pos(theta, delta0)
     p1 = prob_pos(theta, canonicalize(delta0 + 0.5 * math.pi))
-    n_kept, n_bad = kept, 0
-    if isinstance(kept, list):
-        n_kept = 0
-        for good, bad in kept:
-            n_kept += good + bad
-            n_bad += bad
+    good, bad = kept
+    n_kept = good + bad
     if cfg.noiseless:
         n0 = n1 = 0.5 * n_kept
         return n0, n0 * p0, n1, n1 * p1
@@ -232,9 +199,12 @@ def _measure_quadratures(cfg, theta, kept, delta0, rng):
         p1 = 0.5 + contrast * (p1 - 0.5)
     n0 = n_kept // 2
     n1 = n_kept - n0
-    if not n_bad:
+    if not bad:
         return n0, int(rng.binomial(n0, p0)), n1, int(rng.binomial(n1, p1))
-    g0, g1 = _split_good(kept, n0, rng)
+    # the list is in uniformly random order, so basis 0's good count is hypergeometric;
+    # numpy draws even on a split with no choice, which an all-bad list skips
+    g0 = int(rng.hypergeometric(good, bad, n0)) if good else 0
+    g1 = good - g0
     return n0, _count_pos(g0, n0 - g0, p0, rng), n1, _count_pos(g1, n1 - g1, p1, rng)
 
 
@@ -331,18 +301,14 @@ def run_qcs_syntonize(cfg: ScenarioConfig, rng) -> TrialResult:
 
     t_collapse = trigger_time(cfg.clock_a, cfg.epochs.a_start, rng)
     n_half = cfg.ensemble_size // 2
-    halves = (n_half, cfg.ensemble_size - n_half)
     phi_common = transport_phase(cfg.transport, species, omega, rng)
     theta0 = imprint_phase(cfg.clock_a.delta_by_species[species], phi_common)
-    # a shuffled list couples the halves, so both are drawn at once; an honest
-    # one is drawn half by half, after B's trigger for that half
-    kept = _kept_lists(cfg, halves, rng) if cfg.shuffle_type_list else None
 
     estimates = []
-    for h, (epoch, n_pairs) in enumerate(zip((t1, t2), halves)):
+    for epoch, n_pairs in ((t1, n_half), (t2, cfg.ensemble_size - n_half)):
         tau = trigger_time(cfg.clock_b, epoch, rng) - t_collapse
-        kept_h = kept[h] if kept else _kept(cfg, n_pairs, rng)
-        estimates.append(_read_out(cfg, species, omega, kept_h, theta0, tau, rng))
+        kept = _kept(cfg, n_pairs, rng)
+        estimates.append(_read_out(cfg, species, omega, kept, theta0, tau, rng))
     e1, e2 = estimates
     y_hat, sigma_y = estimate_rate(e1, t1, e2, t2, omega)
     return _layout(Protocol.QCS_SYNTONIZE, species).row((

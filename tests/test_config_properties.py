@@ -54,6 +54,7 @@ def documents(draw):
                         {"x0": FINITE, "y": RATE, "sigma_read": noise})
 
     b_measure = draw(st.lists(FINITE, min_size=1, max_size=3, unique=True).map(sorted))
+    use_type_i = draw(st.booleans())  # a shuffled list is read without it
     doc = {
         "species": draw(per_species(POSITIVE)),
         "clock_a": clock(),
@@ -67,8 +68,8 @@ def documents(draw):
         "epochs": _section(draw, {"b_measure": st.just(b_measure)}, {"a_start": FINITE}),
         "seed": draw(st.integers(0, 2**64 - 1)),
         "trials": draw(st.integers(1, 10**6)),
-        "use_type_i": draw(st.booleans()),
-        "shuffle_type_list": False if noiseless else draw(st.booleans()),
+        "use_type_i": use_type_i,
+        "shuffle_type_list": False if noiseless or use_type_i else draw(st.booleans()),
         "noiseless": noiseless,
     }
     keep = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))

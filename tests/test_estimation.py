@@ -10,7 +10,6 @@ from qcs_sim import (
 )
 from qcs_sim.estimation import (
     MIN_SAMPLES,
-    PhaseEstimate,
     check_rate_ambiguity,
     estimate_phase,
     estimate_rate,
@@ -189,12 +188,6 @@ def test_rate_invariant_under_common_phase():
 
 def _interleave(ests, t1, t2):
     return ests[0], t1, ests[1], t2
-
-
-def test_rate_epoch_ordering():
-    e = PhaseEstimate(0.0, 1e-3, 500, 250, 500, 250)
-    with pytest.raises(ValueError):
-        estimate_rate(e, 2.0, e, 1.0, 1.0)
 
 
 def test_ambiguity_guard():

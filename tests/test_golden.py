@@ -46,10 +46,7 @@ def _cases():
         "qcs-pairwise": (dict(subcommand="qcs", seed=12), one_species(
             ensemble_size=4000, trials=4, use_type_i=True, clock_b=noisy_b,
             transport=dict(noisy_transport, sigma_pair=0.02))),
-        "qcs-shuffle": (dict(subcommand="qcs", seed=18), one_species(
-            ensemble_size=4000, trials=4, use_type_i=True, shuffle_type_list=True,
-            clock_b=noisy_b, transport=dict(noisy_transport, sigma_pair=0.02))),
-        # a shuffled list without use_type_i: one block per announced type-II sub-ensemble
+        # a shuffled list, which is read without use_type_i
         "qcs-shuffle-plain": (dict(subcommand="qcs", seed=26), one_species(
             ensemble_size=4000, trials=4, shuffle_type_list=True, clock_b=noisy_b,
             transport=dict(noisy_transport, sigma_pair=0.02))),
@@ -69,12 +66,6 @@ def _cases():
                        "beta_by_species": {"cs": 0.0, "rb": 0.3}})),
         "syntonize": (dict(subcommand="syntonize", seed=14), syntonize(
             y=1e-12, ensemble_size=8000, trials=6,
-            transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
-        "syntonize-shuffle": (dict(subcommand="syntonize", seed=19), syntonize(
-            y=1e-12, ensemble_size=8000, trials=4, use_type_i=True, shuffle_type_list=True,
-            transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
-        "syntonize-shuffle-plain": (dict(subcommand="syntonize", seed=27), syntonize(
-            y=1e-12, ensemble_size=8000, trials=4, shuffle_type_list=True,
             transport={"sigma_common": 0.5, "beta_by_species": {"cs": 2.0}})),
         "syntonize-read-noise": (dict(subcommand="syntonize", seed=22), syntonize(
             y=1e-12, ensemble_size=8000, trials=4, clock_a=noisy_a,
@@ -182,12 +173,6 @@ GOLDEN = {
             "12a15294c4610f5830dda6979d50a261b972445ec10471b4d7501134b3aa08b4",
         "qcs-read-noise/manifest.json":
             "e4647f5cacd427b43216cbed7c6f89b2e48a53869e8ac3af81e2e9ce65935609",
-        "qcs-shuffle/results.csv":
-            "711992b0d67a344cf8df7be776d78d3633781cc44170e31403666cb8fe3d541a",
-        "qcs-shuffle/summary.json":
-            "50faafffe39068e6ab107a6f956331fed8ccb453b52585fa16126a4085e63764",
-        "qcs-shuffle/manifest.json":
-            "13e2981368b04cf1af7fb4027e8aec6121c70feecdc960d236a94aa84265f457",
         "qcs-shuffle-plain/results.csv":
             "743ae2eabe248485c6a43c2fa025bb438cb7aca1d388e7c70130ffefbb3f88f0",
         "qcs-shuffle-plain/summary.json":
@@ -230,18 +215,6 @@ GOLDEN = {
             "647f1072956dbe2f059823f5059a1c0207a751f4b40fb961b9ca9f368036ebfd",
         "syntonize-read-noise/manifest.json":
             "a611a637d0b3aac31d7fb139f87a843ce55c926262d9f9f3e1647b5852e60e01",
-        "syntonize-shuffle/results.csv":
-            "b50a70272ab67c7769bf3ba56a1825d86f138cd8a41a529ee8069940510f4c11",
-        "syntonize-shuffle/summary.json":
-            "fa038009642c039a476576a0b833f7dab0990310621dd5e933c91964a8ef423c",
-        "syntonize-shuffle/manifest.json":
-            "e790263fa06d192f7a7ff257704d652bb6585ce6eae63a1429ce50222e240bbb",
-        "syntonize-shuffle-plain/results.csv":
-            "a2889010f664ec319d4e7ef00c2083763c8ae9390dca3b859fa7269431f4151b",
-        "syntonize-shuffle-plain/summary.json":
-            "efc16a5485564701e1f4ba970f21f50121eca1c3a773e0c93d3cf47b97797b0f",
-        "syntonize-shuffle-plain/manifest.json":
-            "fa5219eb9ccb150757e977f156567e76f52e0f5419615035e3ef8c2516446462",
     },
 }
 

@@ -13,7 +13,7 @@ from qcs_sim.cli import _parse_values, main
 from qcs_sim.harness import apply_sweep_value, summarize_trials, write_results_csv
 from qcs_sim.protocols import Layout
 
-from scenarios import OMEGA_CS, OMEGA_RB, matched_compare, one_species, two_species
+from scenarios import OMEGA_CS, OMEGA_RB, matched_compare, one_species, syntonize, two_species
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -353,7 +353,11 @@ def test_compare_rejects_a_species_dependent_transport_phase(tmp_path, capsys):
      "species: beat requires omega1 != omega2 (beat undefined)"),
     ("compare", one_species(ensemble_size=5000, transport={"alpha": 1e-9,
                                                            "beta_by_species": {"cs": 0.0}}),
-     "compare requires matched models: trip.alpha == transport.alpha and trip.jitter == "),
+     "trip.alpha: compare requires matched models: trip.alpha == transport.alpha and "
+     "trip.jitter == "),
+    ("compare", one_species(ensemble_size=5000, trip={"duration": 10.0, "jitter": 1e-9}),
+     "trip.jitter: compare requires matched models: trip.alpha == transport.alpha and "
+     "trip.jitter == "),
 ])
 def test_a_config_its_protocol_cannot_run_is_a_config_error_naming_the_field(
         tmp_path, subcommand, cfg, message):
@@ -392,6 +396,21 @@ def test_a_jitter_whose_statistics_would_overflow_is_rejected_at_the_config(tmp_
     assert main(["esct", "--config", str(path), "--out", str(tmp_path / "x"),
                  "--seed", "1", "--trials", "5"]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("subcommand,doc", [
+    ("qcs", dict(one_species(ensemble_size=5000).to_dict(), use_type_i=True,
+                 shuffle_type_list=True)),
+    ("syntonize", dict(syntonize(ensemble_size=8000).to_dict(), shuffle_type_list=True)),
+], ids=["use_type_i", "syntonize"])
+def test_a_shuffled_list_no_sampler_reads_exits_2_naming_the_field(
+        tmp_path, capsys, subcommand, doc):
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(doc))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "x"),
+                 "--seed", "1", "--trials", "2"]) == 2
+    assert "error: shuffle_type_list: " in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

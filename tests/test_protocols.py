@@ -152,41 +152,35 @@ ORACLE_PHASES = (1.0, 1.0 - 0.5 * math.pi)
 ORACLE_CASES = {
     "honest": {},
     "shuffle": {"shuffle": True},
-    "shuffle+type_i": {"shuffle": True, "use_type_i": True},
     "sigma_pair+type_i": {"sigma_pair": 0.5, "use_type_i": True},
-    "shuffle+sigma_pair+type_i": {"shuffle": True, "sigma_pair": 0.5, "use_type_i": True},
-    "syntonize_halves+shuffle": {"shuffle": True, "halves": True},
+    "shuffle+sigma_pair": {"shuffle": True, "sigma_pair": 0.5},
 }
 
 
-def _production_counts(cfg, sizes, rng):
-    """(n0, k0, n1, k1) per sub-ensemble from the simulator's count sampler."""
-    kept = (protocols._kept_lists(cfg, sizes, rng) if cfg.shuffle_type_list
-            else [protocols._kept(cfg, n, rng) for n in sizes])
-    return [protocols._measure_quadratures(cfg, ORACLE_PHASES[0], k, 0.0, rng) for k in kept]
+def _production_counts(cfg, n, rng):
+    """(n0, k0, n1, k1) of one collapse of n pairs from the simulator's count sampler."""
+    return protocols._measure_quadratures(cfg, ORACLE_PHASES[0], protocols._kept(cfg, n, rng),
+                                          0.0, rng)
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_counts_match_pairwise_oracle(case):
-    flags = dict(ORACLE_CASES[case])
-    half = ORACLE_N // 2
-    sizes = (half, ORACLE_N - half) if flags.pop("halves", False) else (ORACLE_N,)
+    flags = ORACLE_CASES[case]
     cfg = one_species(
         transport={"beta_by_species": {"cs": 0.0}, "sigma_pair": flags.get("sigma_pair", 0.0)},
         shuffle_type_list=flags.get("shuffle", False),
         use_type_i=flags.get("use_type_i", False),
     )
     rng = np.random.default_rng(21)
-    got = [_production_counts(cfg, sizes, rng) for _ in range(ORACLE_TRIALS)]
+    got = np.array([_production_counts(cfg, ORACLE_N, rng) for _ in range(ORACLE_TRIALS)],
+                   dtype=float)
     rng = np.random.default_rng(22)
-    want = [pairwise_counts(rng, sizes, *ORACLE_PHASES, **flags) for _ in range(ORACLE_TRIALS)]
-    for h in range(len(sizes)):
-        got_h = np.array([g[h] for g in got], dtype=float)
-        want_h = np.array([w[h] for w in want], dtype=float)
-        for name, col in (("k0", lambda c: c[:, 1]), ("k1", lambda c: c[:, 3]),
-                          ("k0-k1", lambda c: c[:, 1] - c[:, 3])):
-            p = stats.ks_2samp(col(got_h), col(want_h)).pvalue
-            assert p > 0.001, f"sub-ensemble {h}, {name}: KS p = {p:.2g}"
+    want = np.array([pairwise_counts(rng, (ORACLE_N,), *ORACLE_PHASES, **flags)[0]
+                     for _ in range(ORACLE_TRIALS)], dtype=float)
+    for name, col in (("k0", lambda c: c[:, 1]), ("k1", lambda c: c[:, 3]),
+                      ("k0-k1", lambda c: c[:, 1] - c[:, 3])):
+        p = stats.ks_2samp(col(got), col(want)).pvalue
+        assert p > 0.001, f"{name}: KS p = {p:.2g}"
 
 
 HONEST_CASES = {
@@ -203,10 +197,11 @@ HONEST_CASES = {
 
 
 def _block_walk_counts(cfg, n, rng):
-    """Reference readout of an honest list of n pairs: the shuffled-list block walk.
+    """Reference readout of an honest list of n pairs, as a walk over all-good blocks.
 
     The partners of A's type II outcomes are one block and, with use_type_i,
-    those of A's type I outcomes a second; neither holds a bad pair.
+    those of A's type I outcomes a second. Neither holds a bad pair, so no
+    split is drawn: basis 0 reads the first half of the pairs, basis 1 the rest.
     """
     m = 0.5 * n if cfg.noiseless else int(rng.binomial(n, 0.5))
     blocks = [(m, 0), (n - m, 0)] if cfg.use_type_i else [(m, 0)]
@@ -223,9 +218,7 @@ def _block_walk_counts(cfg, n, rng):
         p1 = 0.5 + contrast * (p1 - 0.5)
     n0 = n_kept // 2
     n1 = n_kept - n0
-    g0, g1 = protocols._split_good(blocks, n0, rng)
-    return (n0, protocols._count_pos(g0, n0 - g0, p0, rng),
-            n1, protocols._count_pos(g1, n1 - g1, p1, rng))
+    return n0, int(rng.binomial(n0, p0)), n1, int(rng.binomial(n1, p1))
 
 
 @pytest.mark.parametrize("case", sorted(HONEST_CASES))
@@ -238,8 +231,8 @@ def test_honest_counts_match_block_walk(case):
     for i in range(20):
         got_rng, want_rng = trial_stream(7, i), trial_stream(7, i)
         for size in sizes:
-            got = _production_counts(cfg, (size,), got_rng)
-            assert got == [_block_walk_counts(cfg, size, want_rng)]
+            got = _production_counts(cfg, size, got_rng)
+            assert got == _block_walk_counts(cfg, size, want_rng)
         assert got_rng.random() == want_rng.random()
 
 
@@ -258,43 +251,34 @@ def _chi2_against_exact(samples, exact):
 
 
 def test_shuffled_blocks_match_exact_enumeration():
-    # per half: (announced II and truly II, announced II and truly I,
-    #            announced I and truly I, announced I and truly II)
-    sizes = (2, 3)
+    # B's kept (good, bad): announced type II and truly type II, announced II and truly I
+    n = 5
     exact = Counter()
-    for type_i, announced, prob in shuffled_type_lists(sum(sizes)):
-        key, start = [], 0
-        for size in sizes:
-            cells = Counter(zip(announced[start:start + size], type_i[start:start + size]))
-            key.append((cells[False, False], cells[False, True],
-                        cells[True, True], cells[True, False]))
-            start += size
-        exact[tuple(key)] += prob
-    cfg = one_species(shuffle_type_list=True, use_type_i=True)
+    for type_i, announced, prob in shuffled_type_lists(n):
+        cells = Counter(zip(announced, type_i))
+        exact[cells[False, False], cells[False, True]] += prob
+    cfg = one_species(shuffle_type_list=True)
     rng = np.random.default_rng(25)
-    samples = []
-    for _ in range(10_000):
-        lists = protocols._kept_lists(cfg, sizes, rng)
-        samples.append(tuple((g1, b1, g2, b2) for (g1, b1), (g2, b2) in lists))
+    samples = [tuple(protocols._kept(cfg, n, rng)) for _ in range(10_000)]
     assert _chi2_against_exact(samples, exact) > 0.001
 
 
-@pytest.mark.parametrize("use_type_i", (False, True))
-def test_quadrature_split_matches_exact_enumeration(use_type_i):
-    # (kept pairs, good pairs read in basis 0, good pairs kept)
+def test_quadrature_split_matches_exact_enumeration():
+    # (kept pairs, good pairs read in basis 0, good pairs kept); read at the
+    # common phase, a good pair reads pos in basis 0 and a bad one never does,
+    # so k0 counts basis 0's good pairs
     n = 6
     exact = Counter()
     for type_i, announced, prob in shuffled_type_lists(n):
-        (good,) = kept_good_flags(type_i, announced, (n,), use_type_i)
+        (good,) = kept_good_flags(type_i, announced, (n,), False)
         exact[len(good), sum(good[:len(good) // 2]), sum(good)] += prob
-    cfg = one_species(shuffle_type_list=True, use_type_i=use_type_i)
+    cfg = one_species(shuffle_type_list=True)
     rng = np.random.default_rng(26)
     samples = []
     for _ in range(10_000):
-        (blocks,) = protocols._kept_lists(cfg, (n,), rng)
-        n_kept = sum(g + b for g, b in blocks)
-        g0, g1 = protocols._split_good(blocks, n_kept // 2, rng)
-        samples.append((n_kept, g0, g0 + g1))
+        kept = protocols._kept(cfg, n, rng)
+        n0, k0, n1, _ = protocols._measure_quadratures(cfg, 0.0, kept, 0.0, rng)
+        samples.append((n0 + n1, k0, kept[0]))
     assert _chi2_against_exact(samples, exact) > 0.001
 
 
