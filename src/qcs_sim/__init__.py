@@ -9,13 +9,7 @@ picks up makes the entangled protocol's time error match the transported
 clock's, so the schemes are equivalent up to estimation noise.
 """
 from .config import ClockModel, ClockTrip, Epochs, ScenarioConfig, TransportModel, load_config
-from .errors import (
-    AmbiguityError,
-    ConfigError,
-    DegenerateCountsError,
-    InsufficientSamplesError,
-    QcsSimError,
-)
+from .errors import ConfigError, DegenerateCountsError, QcsSimError
 from .harness import compare_equivalence, run_experiment
 from .protocols import (
     Protocol,
@@ -31,13 +25,11 @@ from .rng import trial_stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError",
     "ClockModel",
     "ClockTrip",
     "ConfigError",
     "DegenerateCountsError",
     "Epochs",
-    "InsufficientSamplesError",
     "Protocol",
     "QcsSimError",
     "ScenarioConfig",

@@ -9,7 +9,8 @@ subcommand takes --protocol, to choose what runs at each grid point, and the
 --sweep-param/--sweep-values grid. --seed/--trials override the values stored
 in the config file, once, through ScenarioConfig.with_run.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 runtime error.
+Exit codes: 0 success; 2 a config rejected before any trial; 3 an I/O error,
+or a trial whose counts carry no estimate (DegenerateCountsError).
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator: one per cause a run can fail for."""
 
 
 class QcsSimError(Exception):
@@ -8,23 +8,20 @@ class QcsSimError(Exception):
 class ConfigError(QcsSimError, ValueError):
     """A scenario configuration violates a documented invariant.
 
-    Raised during config loading/validation and for cross-reference
-    failures (e.g. a species with no oscillator phase entry). A ValueError,
-    as every model's own range check is. Maps to CLI exit code 2.
+    Raised during config loading/validation, for cross-reference failures
+    (e.g. a species with no oscillator phase entry) and for a protocol's
+    rejection of a config, such as an ambiguous syntonize rate, always
+    before the first trial. A ValueError, as every model's own range check
+    is. Maps to CLI exit code 2.
     """
 
 
-class InsufficientSamplesError(QcsSimError, ValueError):
-    """A measurement record has too few pairs for phase estimation."""
-
-
-class AmbiguityError(QcsSimError, ValueError):
-    """The configured phase advance exceeds the unambiguous +/- pi window."""
-
-
 class DegenerateCountsError(QcsSimError, RuntimeError):
-    """Quadrature counts sit at the circle center and carry no phase.
+    """A trial's counts carry no phase estimate.
 
-    For pure equatorial states this cannot happen in expectation; seeing
-    it signals a model violation (e.g. an incoherent mixture was measured).
+    Chance reaches it two ways: a quadrature holds fewer pairs than the
+    estimator needs, or the counts sit at the circle center. The ensemble
+    floor makes the first rare (about 5e-10 per epoch); a shuffled type
+    list or a large sigma_pair makes the second reachable. Maps to CLI
+    exit code 3.
     """

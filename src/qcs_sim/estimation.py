@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import AmbiguityError, DegenerateCountsError, InsufficientSamplesError
+from .errors import ConfigError, DegenerateCountsError
 from .quantum import TWO_PI, BasisPhase, canonicalize
 
 #: Minimum pairs per quadrature sub-ensemble.
@@ -63,7 +63,7 @@ def estimate_phase(n0, k0, n1, k1, delta0: float) -> PhaseEstimate:
     them is the caller's job. Only what chance can reach is checked.
     """
     if n0 < MIN_SAMPLES or n1 < MIN_SAMPLES:
-        raise InsufficientSamplesError(
+        raise DegenerateCountsError(
             f"need >= {MIN_SAMPLES} pairs per quadrature, got {n0} and {n1}"
         )
 
@@ -113,10 +113,10 @@ def estimate_rate(
 
 
 def check_rate_ambiguity(omega: float, y_true: float, dt: float):
-    """Raise AmbiguityError when a configured rate walks past the +/- pi window."""
+    """Raise a ConfigError naming clock_b.y when a configured rate walks past the +/- pi window."""
     advance_error = omega * dt * abs(y_true / (1.0 + y_true))
     if advance_error >= math.pi:
-        raise AmbiguityError(
+        raise ConfigError(
             "clock_b.y: configured rate offset is ambiguous: |omega * y * dt| = "
             f"{advance_error:.3f} rad >= pi"
         )

@@ -106,6 +106,8 @@ MATCHED_MODEL_RTOL = 1e-9
 
 
 def _require_matched_models(cfg: ScenarioConfig):
+    """Reject a config compare cannot run: one species, no beta, matched trip and transport."""
+    require_count("species", "compare", "configured species", len(cfg.species), 1)
     ((species, omega),) = cfg.species.items()
     if cfg.transport.beta_by_species[species] != 0.0:
         raise ConfigError(f"transport.beta_by_species.{species} must be 0 for compare: "
@@ -130,7 +132,6 @@ def _run(name: str, cfg: ScenarioConfig) -> tuple[list, dict]:
     if name != "compare":
         results = run_trials(Protocol(name), cfg)
         return [results], summarize_trials(results)
-    require_count("species", "compare", "configured species", len(cfg.species), 1)
     _require_matched_models(cfg)
     qcs = run_trials(Protocol.QCS_BASIC, cfg)
     esct = run_trials(Protocol.ESCT_BASELINE, cfg, lane=LANE_BASELINE)
@@ -203,11 +204,19 @@ def apply_sweep_value(cfg: ScenarioConfig, param: str, value: float) -> Scenario
 
 
 def run_sweep(protocol_name, cfg, param, values) -> list[dict]:
-    """Run one protocol per grid point; return one plot-ready row per point."""
+    """Run one protocol per grid point; return one plot-ready row per point.
+
+    Every point is built and checked, in grid order, before the first trial.
+    """
+    compare = protocol_name == "compare"
+    check = _require_matched_models if compare else Protocol(protocol_name).validate
+    cfgs = [apply_sweep_value(cfg, param, value) for value in values]
+    for point_cfg in cfgs:
+        check(point_cfg)
     rows = []
-    for value in values:
-        _, summary = _run(protocol_name, apply_sweep_value(cfg, param, value))
-        if protocol_name == "compare":
+    for value, point_cfg in zip(values, cfgs):
+        _, summary = _run(protocol_name, point_cfg)
+        if compare:
             point = {k: summary[k] for k in ("rms_qcs", "rms_esct", "ratio")}
         else:
             key = Protocol(protocol_name).error_key
@@ -241,9 +250,9 @@ def run_experiment(
     subcommand; any other subcommand given one raises a ConfigError naming
     it. `seed` and `trials` override the config's once, through
     `cfg.with_run`; the manifest hashes the config as given. Returns the
-    summary record. Raises ConfigError/ValueError for invalid
-    configurations or arguments (CLI exit 2) and lets I/O errors propagate
-    (CLI exit 3).
+    summary record. Raises ConfigError/ValueError for invalid configurations
+    or arguments before any trial (CLI exit 2); I/O errors and a trial's
+    DegenerateCountsError propagate (CLI exit 3).
     """
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")

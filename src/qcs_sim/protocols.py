@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .clocks import esct_transfer, trigger_time
 from .config import MAX_MAGNITUDE, ScenarioConfig
-from .errors import ConfigError, DegenerateCountsError, InsufficientSamplesError
+from .errors import ConfigError, DegenerateCountsError
 from .estimation import check_rate_ambiguity, estimate_phase, estimate_rate, wrap_pi
 from .quantum import canonicalize, evolve, imprint_phase, prob_pos
 from .rng import trial_streams
@@ -343,6 +343,6 @@ def run_trials(protocol: Protocol, cfg: ScenarioConfig, lane: int = 0) -> list[T
     try:
         for rng in trial_streams(cfg.seed, cfg.trials, lane):
             results.append(runner(cfg, rng))
-    except (DegenerateCountsError, InsufficientSamplesError) as exc:
+    except DegenerateCountsError as exc:
         raise type(exc)(f"trial {len(results)} (seed {cfg.seed}, lane {lane}): {exc}") from None
     return results

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
-                     compare_equivalence, harness, run_experiment, run_qcs_basic, run_trials,
-                     trial_stream)
+                     compare_equivalence, estimation, harness, protocols, run_experiment,
+                     run_qcs_basic, run_trials, trial_stream)
 from qcs_sim.errors import DegenerateCountsError
 from qcs_sim.cli import _parse_values, main
 from qcs_sim.harness import apply_sweep_value, summarize_trials, write_results_csv
@@ -431,6 +431,51 @@ def test_a_run_that_fails_mid_way_writes_nothing(tmp_path, capsys):
                  "--seed", "21", "--trials", "3000"]) == 3
     assert (f"runtime error: DegenerateCountsError: trial {trial} (seed 21, lane 0): "
             in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_too_few_pairs_is_a_trial_failure_that_exits_3(tmp_path, capsys, monkeypatch):
+    # no quadrature of a 5000-pair ensemble holds the pairs this floor asks for
+    monkeypatch.setattr(estimation, "MIN_SAMPLES", 10**7)
+    cfg = one_species(ensemble_size=5000)
+    message = r"^trial 0 \(seed 4, lane 0\): need >= 10000000 pairs per quadrature, got "
+    with pytest.raises(DegenerateCountsError, match=message):
+        run_experiment("qcs", cfg, tmp_path / "x", seed=4, trials=3)
+    assert not (tmp_path / "x").exists()
+    path = write_config(tmp_path, cfg)
+    assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "x"),
+                 "--seed", "4", "--trials", "3"]) == 3
+    assert ("runtime error: DegenerateCountsError: trial 0 (seed 4, lane 0): need >= "
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("protocol,cfg,param,values,field", [
+    ("syntonize", syntonize(y=1e-9, ensemble_size=8000,
+                            epochs={"a_start": 0.0, "b_measure": [1.0, 2.0]}),
+     "clock_b.y", "1e-9,2e-9,1e-6", "clock_b.y: "),
+    ("compare", matched_compare(ensemble_size=2000), "transport.beta_by_species.cs", "0,0,1e-3",
+     "transport.beta_by_species.cs "),
+], ids=["syntonize-ambiguous-rate", "compare-nonzero-beta"])
+def test_a_sweep_checks_every_point_before_its_first_trial(
+        tmp_path, capsys, monkeypatch, protocol, cfg, param, values, field):
+    calls = []
+    for key, runner in list(protocols._RUNNERS.items()):
+        monkeypatch.setitem(protocols._RUNNERS, key,
+                            lambda *args, runner=runner: calls.append(1) or runner(*args))
+    grid = [float(v) for v in values.split(",")]
+    run_experiment(protocol, apply_sweep_value(cfg, param, grid[0]), tmp_path / "ok", trials=2)
+    assert calls  # the counting runners are the ones a run calls
+    calls.clear()
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}"):
+        run_experiment("sweep", cfg, tmp_path / "x", trials=2, protocol=protocol,
+                       sweep_param=param, sweep_values=grid)
+    path = write_config(tmp_path, cfg)
+    assert main(["sweep", "--protocol", protocol, "--config", str(path),
+                 "--out", str(tmp_path / "x"), "--trials", "2",
+                 "--sweep-param", param, "--sweep-values", values]) == 2
+    assert field in capsys.readouterr().err
+    assert not calls
     assert not (tmp_path / "x").exists()
 
 

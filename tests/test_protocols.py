@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from qcs_sim import (
-    AmbiguityError,
     ConfigError,
     compare_equivalence,
     run_esct,
@@ -396,7 +395,7 @@ def test_syntonize_epoch_and_ambiguity_guards():
     with pytest.raises(ValueError, match="two measurement epochs"):
         run_trials(Protocol.QCS_SYNTONIZE, one_species().with_run(seed=0, trials=1))
     cfg = syntonize(y=1e-6, rad_advance=0.5, epochs={"a_start": 0.0, "b_measure": [1.0, 2.0]})
-    with pytest.raises(AmbiguityError):
+    with pytest.raises(ConfigError):
         run_trials(Protocol.QCS_SYNTONIZE, cfg.with_run(seed=0, trials=1))
 
 
@@ -411,7 +410,7 @@ def test_syntonize_guard_reads_the_epoch_difference_when_t1_is_not_zero():
                          epochs={"a_start": 0.0, "b_measure": [t1, t2]})
 
     Protocol.QCS_SYNTONIZE.validate(cfg(edge * (1 - 1e-9)))
-    with pytest.raises(AmbiguityError, match=r"^clock_b\.y: configured rate offset is ambiguous"):
+    with pytest.raises(ConfigError, match=r"^clock_b\.y: configured rate offset is ambiguous"):
         Protocol.QCS_SYNTONIZE.validate(cfg(edge * (1 + 1e-9)))
 
 

@@ -36,15 +36,20 @@ EXPORTED_ERRORS = sorted(
 
 
 def test_every_exported_error_derives_from_qcs_sim_error():
-    assert EXPORTED_ERRORS == ["AmbiguityError", "ConfigError", "DegenerateCountsError",
-                               "InsufficientSamplesError", "QcsSimError"]
+    assert EXPORTED_ERRORS == ["ConfigError", "DegenerateCountsError", "QcsSimError"]
     for name in EXPORTED_ERRORS:
         assert issubclass(getattr(qcs_sim, name), qcs_sim.QcsSimError), name
 
 
-@pytest.mark.parametrize("name,code", [("AmbiguityError", 2), ("ConfigError", 2),
-                                       ("DegenerateCountsError", 3),
-                                       ("InsufficientSamplesError", 2)])
+#: a config rejected before any trial exits 2; a trial with no estimate, or any other, exits 3
+EXIT_CODES = {"ConfigError": 2, "DegenerateCountsError": 3, "QcsSimError": 3}
+
+
+def test_the_exit_code_table_lists_every_exported_error():
+    assert sorted(EXIT_CODES) == EXPORTED_ERRORS
+
+
+@pytest.mark.parametrize("name,code", EXIT_CODES.items())
 def test_cli_exit_code_of_each_error(name, code, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise getattr(qcs_sim, name)("boom")
