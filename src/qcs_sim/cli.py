@@ -9,8 +9,8 @@ subcommand takes --protocol, to choose what runs at each grid point, and the
 --sweep-param/--sweep-values grid. --seed/--trials override the values stored
 in the config file, once, through ScenarioConfig.with_run.
 
-Exit codes: 0 success; 2 a config rejected before any trial; 3 an I/O error,
-or a trial whose counts carry no estimate (DegenerateCountsError).
+Exit codes: 0 success; 2 a ConfigError, and nothing else; 3 anything else
+that stops a run: an I/O error, a DegenerateCountsError or a defect.
 """
 from __future__ import annotations
 
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
             sweep_param=getattr(args, "sweep_param", None),
             sweep_values=_parse_values(values, args.sweep_param) if values else None,
         )
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

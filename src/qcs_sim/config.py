@@ -9,7 +9,7 @@ and starts every model's `__post_init__`, so a config built in Python is
 checked and stored as a loaded one is: floats as finite `float`s, mappings
 as read-only copies, `epochs.b_measure` as a tuple, and the cached
 `ScenarioConfig.sha256` holds. The models then check ranges and
-cross-references. Every error a file can cause is a ConfigError that names
+cross-references. Every check raises a ConfigError, which for a file names
 the field by its dotted path, such as `transport.beta_by_species.cs` or
 `epochs.b_measure[1]`, a repeated key included.
 """
@@ -72,9 +72,9 @@ class ClockModel:
         object.__setattr__(self, "delta_by_species", MappingProxyType(
             {sp: canonicalize(delta) for sp, delta in self.delta_by_species.items()}))
         if self.y <= -1.0:
-            raise ValueError(f"y must be > -1, got {self.y}")
+            raise ConfigError(f"y must be > -1, got {self.y}")
         if self.sigma_read < 0.0:
-            raise ValueError(f"sigma_read must be >= 0, got {self.sigma_read}")
+            raise ConfigError(f"sigma_read must be >= 0, got {self.sigma_read}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,9 @@ class ClockTrip:
     def __post_init__(self):
         _store_fields(self)
         if self.duration <= 0.0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+            raise ConfigError(f"duration must be > 0, got {self.duration}")
         if self.jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+            raise ConfigError(f"jitter must be >= 0, got {self.jitter}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class TransportModel:
         _store_fields(self)
         for name in ("sigma_common", "sigma_pair"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def _value(tp, value, where: str):
     before any other check. Tuple and mapping entries are floats, each named
     by its own path (`epochs.b_measure[1]`, `transport.beta_by_species.cs`).
     A section is built from its JSON object, with the dataclass defaults for
-    missing fields; the model's ValueError comes back prefixed with `where`.
+    missing fields; the model's ConfigError comes back prefixed with `where`.
     """
     prefix = f"{where}." if where else ""
     if isinstance(value, _Pairs):
@@ -314,7 +314,7 @@ def _value(tp, value, where: str):
     kwargs = {k: _value(types[k], v, prefix + k) if k in sections else v for k, v in value.items()}
     try:
         return tp(**kwargs)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
@@ -349,10 +349,10 @@ def load_config(path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_Pairs)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an int past str's digit limit
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     return ScenarioConfig.from_dict(data)

@@ -8,11 +8,11 @@ class QcsSimError(Exception):
 class ConfigError(QcsSimError, ValueError):
     """A scenario configuration violates a documented invariant.
 
-    Raised during config loading/validation, for cross-reference failures
-    (e.g. a species with no oscillator phase entry) and for a protocol's
-    rejection of a config, such as an ambiguous syntonize rate, always
-    before the first trial. A ValueError, as every model's own range check
-    is. Maps to CLI exit code 2.
+    Raised by every config check, loaded or built in Python: a field's type
+    or range, a cross-reference (e.g. a species with no oscillator phase
+    entry), a run argument, and a protocol's rejection of a config, such as
+    an ambiguous syntonize rate, always before the first trial. A ValueError
+    subclass; the only error that maps to CLI exit code 2.
     """
 
 

@@ -250,12 +250,12 @@ def run_experiment(
     subcommand; any other subcommand given one raises a ConfigError naming
     it. `seed` and `trials` override the config's once, through
     `cfg.with_run`; the manifest hashes the config as given. Returns the
-    summary record. Raises ConfigError/ValueError for invalid configurations
-    or arguments before any trial (CLI exit 2); I/O errors and a trial's
-    DegenerateCountsError propagate (CLI exit 3).
+    summary record. Raises ConfigError for an invalid configuration or
+    argument, before any trial (CLI exit 2); anything else that stops the
+    run, such as an I/O error or a trial's DegenerateCountsError, exits 3.
     """
     if subcommand not in SUBCOMMANDS:
-        raise ValueError(f"unknown subcommand {subcommand!r}")
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
     run_cfg = cfg.with_run(seed, trials)
     out = Path(out_dir)
 
@@ -290,7 +290,7 @@ def run_experiment(
     try:  # strict JSON, serialized before the directory exists
         summary_json, manifest_json = (json.dumps(d, sort_keys=True, indent=2, allow_nan=False)
                                        + "\n" for d in (summary, manifest))
-    except ValueError as exc:  # numpy's overflow left an inf or nan statistic
+    except ValueError as exc:  # a defect left an inf or nan statistic: not a ConfigError
         raise ValueError(f"summary.json: {exc}; nothing was written") from None
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / outputs[table])

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from qcs_sim import (ClockModel, ConfigError, Epochs, Protocol, ScenarioConfig, TransportModel,
-                     load_config, run_trials)
+from qcs_sim import (ClockModel, ClockTrip, ConfigError, Epochs, Protocol, ScenarioConfig,
+                     TransportModel, load_config, run_trials)
 from qcs_sim.config import MAX_MAGNITUDE, MIN_ENSEMBLE_PER_EPOCH
 from qcs_sim.harness import apply_sweep_value
 from qcs_sim.quantum import canonicalize
@@ -245,8 +245,11 @@ def test_trials_floor():
 
 
 def test_epoch_ordering_enforced():
-    with pytest.raises(ConfigError, match="increasing"):
-        ScenarioConfig.from_dict(dict(MINIMAL, epochs={"b_measure": [2.0, 1.0]}))
+    for b_measure in ([2.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(ConfigError, match="^b_measure must be strictly increasing$"):
+            Epochs(b_measure=b_measure)
+        with pytest.raises(ConfigError, match="^epochs.b_measure must be strictly increasing$"):
+            ScenarioConfig.from_dict(dict(MINIMAL, epochs={"b_measure": b_measure}))
     with pytest.raises(ConfigError, match="at least one"):
         ScenarioConfig.from_dict(dict(MINIMAL, epochs={"b_measure": []}))
 
@@ -406,6 +409,17 @@ def test_load_config_shows_an_object_where_a_number_belongs_as_read(tmp_path, te
         load_config(_minimal_with(tmp_path, text))
 
 
+@pytest.mark.parametrize("raw", [b'{"species": {"cs": 1.0}}\xff',
+                                 b'{"seed": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "int-past-digit-limit"])
+def test_load_config_rejects_a_file_json_cannot_read(tmp_path, raw):
+    p = tmp_path / "bad.json"
+    p.write_bytes(raw)
+    with pytest.raises(ConfigError, match="^cannot read config ") as exc:
+        load_config(p)
+    assert type(exc.value) is ConfigError
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/nowhere.json")
@@ -449,6 +463,24 @@ def test_no_silent_coercion_of_int_and_bool_fields(how, field, value):
             built(**{field: value})
         else:
             apply_sweep_value(ScenarioConfig.from_dict(MINIMAL), field, value)
+
+
+def test_an_omitted_ensemble_size_is_100000():
+    assert ScenarioConfig.from_dict(MINIMAL).ensemble_size == 100_000
+    assert built().ensemble_size == 100_000
+
+
+@pytest.mark.parametrize("model,kwargs,message", [
+    (ClockModel, {"y": -2.0}, "y must be > -1, got -2.0"),
+    (ClockModel, {"sigma_read": -1.0}, "sigma_read must be >= 0, got -1.0"),
+    (ClockTrip, {"duration": 0.0}, "duration must be > 0, got 0.0"),
+    (ClockTrip, {"jitter": -1.0}, "jitter must be >= 0, got -1.0"),
+    (TransportModel, {"sigma_pair": -1.0}, "sigma_pair must be >= 0"),
+], ids=["y", "sigma_read", "duration", "jitter", "sigma_pair"])
+def test_a_built_model_range_check_is_a_config_error(model, kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as exc:
+        model(**kwargs)
+    assert type(exc.value) is ConfigError
 
 
 def test_a_built_config_stores_floats_and_hashes_like_its_reloaded_json():

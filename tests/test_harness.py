@@ -278,6 +278,22 @@ def test_unknown_sweep_parameter(tmp_path, param):
         )
 
 
+def test_an_unknown_subcommand_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="^unknown subcommand 'nope'$") as exc:
+        run_experiment("nope", one_species(ensemble_size=5000), tmp_path / "x")
+    assert type(exc.value) is ConfigError
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("grid", [{"sweep_param": "trip.alpha"}, {"sweep_values": [1.0]}],
+                         ids=["param-only", "values-only"])
+def test_a_sweep_needs_both_its_parameter_and_its_values(tmp_path, grid):
+    with pytest.raises(ConfigError, match="^sweep requires --sweep-param and --sweep-values$"):
+        run_experiment("sweep", one_species(ensemble_size=5000), tmp_path / "x",
+                       protocol="esct", **grid)
+    assert not (tmp_path / "x").exists()
+
+
 def test_trials_floor(tmp_path):
     cfg = one_species(ensemble_size=5000)
     with pytest.raises(ConfigError, match="trials"):
@@ -379,7 +395,7 @@ def test_a_statistic_beyond_float_range_fails_the_run_and_writes_nothing(
     assert not (tmp_path / "x").exists()
     path = write_config(tmp_path, cfg)
     assert main(["esct", "--config", str(path), "--out", str(tmp_path / "x"),
-                 "--seed", "1", "--trials", "5"]) == 2
+                 "--seed", "1", "--trials", "5"]) == 3
     assert "summary.json" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
@@ -519,6 +535,8 @@ def test_cli_exit_code_2_on_config_problems(tmp_path):
     assert main(["qcs", "--config", str(path), "--out", str(tmp_path / "o"), "--trials", "0"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
+    assert main(["qcs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_bytes(b"{\xff}")  # not UTF-8
     assert main(["qcs", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 

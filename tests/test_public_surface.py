@@ -1,6 +1,6 @@
 """The public surface: README's "Library use" block runs and names exactly
 `qcs_sim.__all__`, and every exported error is a `QcsSimError` with a fixed
-CLI exit code."""
+CLI exit code; only a `ConfigError` exits 2."""
 import ast
 import re
 from pathlib import Path
@@ -49,12 +49,28 @@ def test_the_exit_code_table_lists_every_exported_error():
     assert sorted(EXIT_CODES) == EXPORTED_ERRORS
 
 
-@pytest.mark.parametrize("name,code", EXIT_CODES.items())
-def test_cli_exit_code_of_each_error(name, code, monkeypatch, capsys):
+def exit_code_when_run_raises(error, monkeypatch) -> int:
+    """cli.main's exit code when `run_experiment` raises error("boom")."""
     def fail(*args, **kwargs):
-        raise getattr(qcs_sim, name)("boom")
+        raise error("boom")
 
     monkeypatch.setattr(cli, "load_config", lambda path: None)
     monkeypatch.setattr(cli, "run_experiment", fail)
-    assert cli.main(["qcs", "--config", "unused.json", "--out", "unused"]) == code
+    return cli.main(["qcs", "--config", "unused.json", "--out", "unused"])
+
+
+@pytest.mark.parametrize("name,code", EXIT_CODES.items())
+def test_cli_exit_code_of_each_error(name, code, monkeypatch, capsys):
+    assert exit_code_when_run_raises(getattr(qcs_sim, name), monkeypatch) == code
     assert "boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,prefix", [
+    (ValueError, "runtime error: ValueError: "),
+    (TypeError, "runtime error: TypeError: "),
+    (OSError, "i/o error: "),
+])
+def test_cli_exits_3_on_any_error_but_a_config_error(error, prefix, monkeypatch, capsys):
+    # a ValueError that no config check raised is a defect, not a rejected config
+    assert exit_code_when_run_raises(error, monkeypatch) == 3
+    assert capsys.readouterr().err == f"{prefix}boom\n"
